@@ -309,45 +309,64 @@ mod fast_softmax {
         exp_approx(v)
     }
 
-    /// [`row`] with the whole row held in `G` zmm registers across all
-    /// three passes (one load + one store instead of three of each).
-    /// Every arithmetic operation, value, and accumulation order matches
-    /// [`row`] exactly, so the two are bitwise interchangeable; rows wider
-    /// than 4 groups (seq > 64) stay on the streaming variant.
-    unsafe fn row_reg<const G: usize>(row: &mut [f32], lanes: &[u16], scale: f32) {
+    /// [`row`] for `R` consecutive `len`-wide rows, each held in `G` zmm
+    /// registers across all three passes (one load + one store instead of
+    /// three of each). The rows are interleaved pass by pass so their
+    /// horizontal reductions and divides overlap instead of queueing
+    /// behind one another. Every row runs the same arithmetic operations,
+    /// on the same values and in the same accumulation order as [`row`]
+    /// does on its own, so the two are bitwise interchangeable; rows wider
+    /// than 4 groups (seq > 64) stay on the streaming variant. A block
+    /// holding a row with a non-finite max goes back to the `R = 1` path,
+    /// which zeroes exactly that row.
+    ///
+    /// # Safety
+    ///
+    /// `rows.len() == R·len` and `16·(G−1) < len ≤ 16·G`: the lane-masked
+    /// loads and stores then stay inside each row.
+    unsafe fn rows_reg<const R: usize, const G: usize>(rows: &mut [f32], len: usize, lanes: &[u16], scale: f32) {
+        debug_assert_eq!(rows.len(), R * len);
         let sv = _mm512_set1_ps(scale);
-        let len = row.len();
         let full = move |g: usize| -> u16 {
             if (g + 1) * 16 <= len { 0xffff } else { (1u16 << (len - g * 16)) - 1 }
         };
-        let mut x = [_mm512_setzero_ps(); G];
-        let mut maxv = _mm512_set1_ps(f32::NEG_INFINITY);
-        for (g, xg) in x.iter_mut().enumerate() {
-            *xg = _mm512_mul_ps(_mm512_maskz_loadu_ps(full(g), row.as_ptr().add(g * 16)), sv);
-            maxv = _mm512_mask_max_ps(maxv, lanes[g], maxv, *xg);
+        let base = rows.as_mut_ptr();
+        let mut x = [[_mm512_setzero_ps(); G]; R];
+        let mut m = [0.0f32; R];
+        for (r, xr) in x.iter_mut().enumerate() {
+            let mut maxv = _mm512_set1_ps(f32::NEG_INFINITY);
+            for (g, xg) in xr.iter_mut().enumerate() {
+                *xg = _mm512_mul_ps(_mm512_maskz_loadu_ps(full(g), base.add(r * len + g * 16)), sv);
+                maxv = _mm512_mask_max_ps(maxv, lanes[g], maxv, *xg);
+            }
+            m[r] = _mm512_reduce_max_ps(maxv);
         }
-        let m = _mm512_reduce_max_ps(maxv);
-        if !m.is_finite() {
-            row.iter_mut().for_each(|v| *v = 0.0);
-            return;
-        }
-        let mv = _mm512_set1_ps(m);
-        let cap = _mm512_set1_ps(30.5);
-        let mut sum = 0.0f32;
-        for (g, xg) in x.iter_mut().enumerate() {
-            let e = _mm512_maskz_mov_ps(lanes[g], exp_sub16(*xg, mv, cap));
-            *xg = e;
-            sum += _mm512_reduce_add_ps(e);
-        }
-        if sum <= 0.0 {
-            for (g, xg) in x.iter().enumerate() {
-                _mm512_mask_storeu_ps(row.as_mut_ptr().add(g * 16), full(g), *xg);
+        if m.iter().any(|v| !v.is_finite()) {
+            if R == 1 {
+                rows.iter_mut().for_each(|v| *v = 0.0);
+            } else {
+                for row in rows.chunks_exact_mut(len) {
+                    rows_reg::<1, G>(row, len, lanes, scale);
+                }
             }
             return;
         }
-        let dv = _mm512_set1_ps(sum);
-        for (g, xg) in x.iter().enumerate() {
-            _mm512_mask_storeu_ps(row.as_mut_ptr().add(g * 16), full(g), _mm512_div_ps(*xg, dv));
+        let cap = _mm512_set1_ps(30.5);
+        let mut sum = [0.0f32; R];
+        for g in 0..G {
+            for (xr, (&mr, sr)) in x.iter_mut().zip(m.iter().zip(sum.iter_mut())) {
+                let e = _mm512_maskz_mov_ps(lanes[g], exp_sub16(xr[g], _mm512_set1_ps(mr), cap));
+                xr[g] = e;
+                *sr += _mm512_reduce_add_ps(e);
+            }
+        }
+        for (r, (xr, &sr)) in x.iter().zip(&sum).enumerate() {
+            let row = base.add(r * len);
+            for (g, &xg) in xr.iter().enumerate() {
+                // A non-positive sum leaves the exponentials unnormalized.
+                let v = if sr <= 0.0 { xg } else { _mm512_div_ps(xg, _mm512_set1_ps(sr)) };
+                _mm512_mask_storeu_ps(row.add(g * 16), full(g), v);
+            }
         }
     }
 
@@ -402,6 +421,12 @@ mod fast_softmax {
     /// `seq × seq` score block. The mask compiles to lane bitmasks once
     /// per item and is reused by every row.
     pub fn item(scores: &mut [f32], seq: usize, mask: &[bool], scale: f32) {
+        tiled::<4>(scores, seq, mask, scale);
+    }
+
+    /// [`item`] with register-resident rows taken `R` at a time; `R = 1`
+    /// is the row-at-a-time oracle of the row-partition test.
+    fn tiled<const R: usize>(scores: &mut [f32], seq: usize, mask: &[bool], scale: f32) {
         debug_assert_eq!(scores.len(), seq * seq);
         debug_assert_eq!(mask.len(), seq);
         let ng = seq.div_ceil(16);
@@ -419,15 +444,68 @@ mod fast_softmax {
             }
             lanes[g] = bits;
         }
-        for t in 0..seq {
-            let r = &mut scores[t * seq..(t + 1) * seq];
-            unsafe {
-                match ng {
-                    1 => row_reg::<1>(r, &lanes[..1], scale),
-                    2 => row_reg::<2>(r, &lanes[..2], scale),
-                    3 => row_reg::<3>(r, &lanes[..3], scale),
-                    4 => row_reg::<4>(r, &lanes[..4], scale),
-                    _ => row(r, &lanes[..ng], scale),
+        // SAFETY: `ng = ⌈seq/16⌉` selects `G`, and the block is seq × seq.
+        unsafe {
+            match ng {
+                1 => blocks::<R, 1>(scores, seq, &lanes[..1], scale),
+                2 => blocks::<R, 2>(scores, seq, &lanes[..2], scale),
+                3 => blocks::<R, 3>(scores, seq, &lanes[..3], scale),
+                4 => blocks::<R, 4>(scores, seq, &lanes[..4], scale),
+                _ => {
+                    for t in 0..seq {
+                        row(&mut scores[t * seq..(t + 1) * seq], &lanes[..ng], scale);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rows in blocks of `R`, then the remainder one at a time.
+    ///
+    /// # Safety
+    ///
+    /// `scores.len() == seq·seq` with `16·(G−1) < seq ≤ 16·G`.
+    unsafe fn blocks<const R: usize, const G: usize>(scores: &mut [f32], seq: usize, lanes: &[u16], scale: f32) {
+        let mut tiles = scores.chunks_exact_mut(R * seq);
+        for tile in &mut tiles {
+            rows_reg::<R, G>(tile, seq, lanes, scale);
+        }
+        for r in tiles.into_remainder().chunks_exact_mut(seq) {
+            rows_reg::<1, G>(r, seq, lanes, scale);
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        /// Row-partition invariance of the 4-row softmax tiles: every row
+        /// comes out with the bits the row-at-a-time path gives it, for every
+        /// width the tiles cover and past it, including fully masked items and
+        /// rows whose max is non-finite inside an otherwise finite tile.
+        #[test]
+        fn fast_softmax_item_is_row_partition_invariant() {
+            for seq in 1..=80usize {
+                let masks: [Vec<bool>; 4] = [
+                    vec![true; seq],
+                    (0..seq).map(|t| t < (seq * 2).div_ceil(3)).collect(),
+                    (0..seq).map(|t| t % 3 != 1).collect(),
+                    vec![false; seq],
+                ];
+                for mask in &masks {
+                    let mut block: Vec<f32> = (0..seq * seq)
+                        .map(|i| ((i as u32).wrapping_mul(2654435761) >> 8) as f32 / (1 << 22) as f32 - 2.0)
+                        .collect();
+                    for (t, row) in block.chunks_mut(seq).enumerate() {
+                        match t % 7 {
+                            2 => row.fill(f32::NEG_INFINITY),
+                            5 => row[0] = f32::INFINITY,
+                            _ => {}
+                        }
+                    }
+                    let mut tiled = block.clone();
+                    super::item(&mut tiled, seq, mask, 0.25);
+                    super::tiled::<1>(&mut block, seq, mask, 0.25);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&tiled), bits(&block), "seq {seq}");
                 }
             }
         }

@@ -118,15 +118,14 @@ pub fn gemm(
 
 /// `C = A·op(B)` with FMA contraction, for small inference-only products.
 ///
-/// Same shape contract as [`gemm`] with `a_trans = false`, but each
-/// per-element accumulation uses fused multiply-add (one rounding per
-/// step instead of two), so results differ from [`gemm`] by ordinary f32
-/// rounding. Reserved for the reduced-precision serving path (attention
-/// core in Int8 mode), where the drift budget already covers it — exact
-/// paths must keep calling [`gemm`], whose mul-then-add order is the
-/// bitwise contract the equivalence oracles pin. Accumulation is still
-/// serial over `k` per element and depends only on the operand values,
-/// so batch composition never changes a sequence's bits.
+/// Same shape contract as [`gemm`] with `a_trans = false`. Each element
+/// accumulates serially over `k` from `+0.0` with fused multiply-add, the
+/// sequence [`gemm`] performs too, so the two agree bit for bit (pinned by
+/// `tests/gemm_equivalence.rs`); what differs is the cost: no packing,
+/// the whole output row in registers, rows taken four at a time. Serves
+/// the attention core in Int8 inference mode. The result depends only on
+/// the operand values, so batch composition never changes a sequence's
+/// bits.
 ///
 /// Falls back to [`gemm`] when `n > MAX_FAST_N` (accumulators no longer
 /// fit the register budget) or the build lacks AVX-512.
@@ -139,9 +138,11 @@ pub fn gemm_fast(
     b_trans: bool,
     c: &mut [f32],
 ) {
-    debug_assert_eq!(a.len(), m * k, "A shape mismatch");
-    debug_assert_eq!(b.len(), k * n, "B shape mismatch");
-    debug_assert_eq!(c.len(), m * n, "C shape mismatch");
+    // Asserted, not debug-asserted: the kernels read and write through
+    // raw pointers sized by these shapes.
+    assert_eq!(a.len(), m * k, "A shape mismatch");
+    assert_eq!(b.len(), k * n, "B shape mismatch");
+    assert_eq!(c.len(), m * n, "C shape mismatch");
     if m == 0 || n == 0 {
         return;
     }
@@ -181,11 +182,15 @@ pub fn gemm_fast_strided(
     c_stride: usize,
 ) {
     debug_assert!(a_stride >= k && b_stride >= if b_trans { k } else { n } && c_stride >= n);
-    debug_assert!(a.len() >= (m - 1) * a_stride + k, "A shape mismatch");
-    debug_assert!(c.len() >= (m - 1) * c_stride + n, "C shape mismatch");
     if m == 0 || n == 0 {
         return;
     }
+    // The kernels address operands through raw pointers: these extents
+    // are what keeps them in bounds.
+    let (brows, bcols) = if b_trans { (n, k) } else { (k, n) };
+    assert!(a.len() >= (m - 1) * a_stride + k, "A shape mismatch");
+    assert!(brows == 0 || b.len() >= (brows - 1) * b_stride + bcols, "B shape mismatch");
+    assert!(c.len() >= (m - 1) * c_stride + n, "C shape mismatch");
     if em_obs::capture_enabled() {
         let metrics = gemm_metrics();
         metrics.calls.inc();
@@ -237,14 +242,26 @@ mod fast_kernels {
         }
         if b_trans {
             // b holds n rows of k values at b_stride; the kernel wants k×n.
-            let mut bt = [0.0f32; MAX_BT];
+            // Only the first k·n entries are written and read, so the
+            // scratch is never zero-filled.
+            let mut bt = std::mem::MaybeUninit::<[f32; MAX_BT]>::uninit();
+            let btp = bt.as_mut_ptr() as *mut f32;
             for j in 0..n {
-                for p in 0..k {
-                    bt[p * n + j] = b[j * b_stride + p];
+                let brow = &b[j * b_stride..j * b_stride + k];
+                for (p, &v) in brow.iter().enumerate() {
+                    // SAFETY: p·n + j < k·n ≤ MAX_BT (checked above).
+                    unsafe { btp.add(p * n + j).write(v) };
                 }
             }
-            unsafe { broadcast_fma(m, k, n, a, a_stride, &bt[..k * n], n, c, c_stride) }
+            // SAFETY: the loop above initialised every entry p·n + j of
+            // the first k·n; the extents of a and c were asserted by the
+            // caller, and bt holds k rows of n at stride n.
+            unsafe {
+                let bt = std::slice::from_raw_parts(btp, k * n);
+                broadcast_fma(m, k, n, a, a_stride, bt, n, c, c_stride)
+            }
         } else {
+            // SAFETY: operand extents were asserted by the caller.
             unsafe { broadcast_fma(m, k, n, a, a_stride, b, b_stride, c, c_stride) }
         }
     }
@@ -279,6 +296,14 @@ mod fast_kernels {
 
     /// `C[i, :] = Σ_k a[i,k] · B[k, :]` with up to 4 zmm accumulators per
     /// row; `n ≤ 64`. Rows of every operand live at caller strides.
+    /// Monomorphised on the zmm group count `G = ⌈n/16⌉`.
+    ///
+    /// # Safety
+    ///
+    /// `1 ≤ n ≤ 64`; `a` holds at least `(m−1)·a_stride + k` values, `b`
+    /// at least `k` rows of `n` at `b_stride`, `c` at least
+    /// `(m−1)·c_stride + n`. Loads and stores are lane-masked to `n`, so
+    /// nothing past a row's `n` values is touched.
     #[allow(clippy::too_many_arguments)]
     unsafe fn broadcast_fma(
         m: usize,
@@ -291,23 +316,83 @@ mod fast_kernels {
         c: &mut [f32],
         c_stride: usize,
     ) {
-        let groups = n.div_ceil(16);
+        let op = Operands {
+            k,
+            a: a.as_ptr(),
+            a_stride,
+            b: b.as_ptr(),
+            b_stride,
+            c: c.as_mut_ptr(),
+            c_stride,
+        };
         let tail = if n % 16 == 0 { 0xffffu16 } else { (1u16 << (n % 16)) - 1 };
-        let gmask = |g: usize| if g + 1 == groups { tail } else { 0xffff };
-        for i in 0..m {
-            let arow = &a[i * a_stride..i * a_stride + k];
-            let mut acc = [_mm512_setzero_ps(); 4];
-            for (p, &av) in arow.iter().enumerate() {
-                let bv = _mm512_set1_ps(av);
-                let brow = b.as_ptr().add(p * b_stride);
-                for g in 0..groups {
-                    let x = _mm512_maskz_loadu_ps(gmask(g), brow.add(g * 16));
-                    acc[g] = _mm512_fmadd_ps(bv, x, acc[g]);
+        match n.div_ceil(16) {
+            1 => rows::<1>(m, &op, tail),
+            2 => rows::<2>(m, &op, tail),
+            3 => rows::<3>(m, &op, tail),
+            _ => rows::<4>(m, &op, tail),
+        }
+    }
+
+    /// Raw operand addressing shared by every tile of one call.
+    struct Operands {
+        k: usize,
+        a: *const f32,
+        a_stride: usize,
+        b: *const f32,
+        b_stride: usize,
+        c: *mut f32,
+        c_stride: usize,
+    }
+
+    /// Rows in blocks of 4, then the remainder one at a time.
+    ///
+    /// # Safety
+    ///
+    /// `op` describes operands satisfying [`broadcast_fma`]'s contract for
+    /// `m` rows and `n ≤ 16·G` columns, with `tail` the last group's mask.
+    #[inline(always)]
+    unsafe fn rows<const G: usize>(m: usize, op: &Operands, tail: u16) {
+        let mut i = 0;
+        while i + 4 <= m {
+            tile::<4, G>(i, op, tail);
+            i += 4;
+        }
+        while i < m {
+            tile::<1, G>(i, op, tail);
+            i += 1;
+        }
+    }
+
+    /// An `R × 16G` register tile: `R` independent FMA chains per B vector
+    /// keep the FMA pipes busy where a single row would wait on its own
+    /// previous result every step. Each element still accumulates
+    /// serially over `p = 0..k` from `+0.0`, exactly as a row on its own.
+    ///
+    /// # Safety
+    ///
+    /// As [`rows`], for rows `i0..i0 + R`.
+    #[inline(always)]
+    unsafe fn tile<const R: usize, const G: usize>(i0: usize, op: &Operands, tail: u16) {
+        let gmask = |g: usize| if g + 1 == G { tail } else { 0xffff };
+        let mut acc = [[_mm512_setzero_ps(); G]; R];
+        for p in 0..op.k {
+            let brow = op.b.add(p * op.b_stride);
+            let mut x = [_mm512_setzero_ps(); G];
+            for (g, xg) in x.iter_mut().enumerate() {
+                *xg = _mm512_maskz_loadu_ps(gmask(g), brow.add(g * 16));
+            }
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*op.a.add((i0 + r) * op.a_stride + p));
+                for (accg, &xg) in accr.iter_mut().zip(&x) {
+                    *accg = _mm512_fmadd_ps(av, xg, *accg);
                 }
             }
-            let crow = c.as_mut_ptr().add(i * c_stride);
-            for g in 0..groups {
-                _mm512_mask_storeu_ps(crow.add(g * 16), gmask(g), acc[g]);
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            let crow = op.c.add((i0 + r) * op.c_stride);
+            for (g, &accg) in accr.iter().enumerate() {
+                _mm512_mask_storeu_ps(crow.add(g * 16), gmask(g), accg);
             }
         }
     }

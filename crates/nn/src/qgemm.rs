@@ -377,32 +377,37 @@ fn process_band(
             kernels::microkernel(arows, panel, qa.kp, mr_eff, &mut acc);
             let j0 = u * NR;
             let nr_eff = NR.min(n - j0);
+            let (sw, cs) = (&w.scales[j0..j0 + nr_eff], &w.col_sums[j0..j0 + nr_eff]);
+            let bias = bias.map(|b| &b[j0..j0 + nr_eff]);
             for (ii, accrow) in acc.iter().enumerate().take(mr_eff) {
                 let sx = qa.scales[row0 + r + ii];
                 let dst = &mut band[(r + ii) * n + j0..(r + ii) * n + j0 + nr_eff];
-                match bias {
-                    Some(bias) => {
-                        for jj in 0..nr_eff {
-                            let corrected = accrow[jj] - 128 * w.col_sums[j0 + jj];
-                            // Same multiply-then-add sequence as a
-                            // separate bias broadcast (no FMA), so the
-                            // fused epilogue is bitwise identical.
-                            dst[jj] = sx * w.scales[j0 + jj] * corrected as f32 + bias[j0 + jj];
-                        }
-                    }
-                    None => {
-                        for jj in 0..nr_eff {
-                            // Remove the +128 activation offset exactly,
-                            // then rescale:
-                            // out = sx · sw · (acc − 128 · Σ qw).
-                            let corrected = accrow[jj] - 128 * w.col_sums[j0 + jj];
-                            dst[jj] = sx * w.scales[j0 + jj] * corrected as f32;
-                        }
-                    }
+                if nr_eff == NR {
+                    kernels::dequantize_panel(accrow, sx, sw, cs, bias, dst);
+                } else {
+                    dequantize(accrow, sx, sw, cs, bias, dst);
                 }
             }
         }
         r += MR;
+    }
+}
+
+/// The dequantize epilogue of one output row segment: removes the +128
+/// activation offset exactly, then rescales,
+/// `dst[j] = sx · sw[j] · (acc[j] − 128 · Σ qw[j]) (+ bias[j])`. The bias
+/// add follows the multiplies (no FMA), the same sequence as a separate
+/// bias broadcast, so the fused epilogue is bitwise identical to it.
+/// [`kernels::dequantize_panel`] is the 16-lane form for full panels.
+#[inline]
+fn dequantize(acc: &[i32], sx: f32, sw: &[f32], col_sums: &[i32], bias: Option<&[f32]>, dst: &mut [f32]) {
+    for (jj, d) in dst.iter_mut().enumerate() {
+        let corrected = acc[jj] - 128 * col_sums[jj];
+        let v = sx * sw[jj] * corrected as f32;
+        *d = match bias {
+            Some(b) => v + b[jj],
+            None => v,
+        };
     }
 }
 
@@ -497,6 +502,39 @@ mod kernels {
         }
     }
 
+    /// [`super::dequantize`] over one full `NR`-column panel, 16 lanes at
+    /// a time: `(sx·sw)·f32(acc − 128·colsum) (+ bias)` with the same
+    /// operation order and roundings (`vcvtdq2ps` rounds to nearest-even
+    /// like `as f32`; the shift is the exact `× 128`; no FMA).
+    #[inline]
+    pub fn dequantize_panel(
+        acc: &[i32; NR],
+        sx: f32,
+        sw: &[f32],
+        col_sums: &[i32],
+        bias: Option<&[f32]>,
+        dst: &mut [f32],
+    ) {
+        assert!(sw.len() == NR && col_sums.len() == NR && dst.len() == NR);
+        assert!(bias.is_none_or(|b| b.len() == NR));
+        // SAFETY: every operand holds NR = 32 values (asserted above), and
+        // the loop touches lanes h..h + 16 for h ∈ {0, 16}.
+        unsafe {
+            let sxv = _mm512_set1_ps(sx);
+            for h in (0..NR).step_by(16) {
+                let a = _mm512_loadu_si512(acc.as_ptr().add(h) as *const __m512i);
+                let cs = _mm512_loadu_si512(col_sums.as_ptr().add(h) as *const __m512i);
+                let corrected = _mm512_cvtepi32_ps(_mm512_sub_epi32(a, _mm512_slli_epi32::<7>(cs)));
+                let scale = _mm512_mul_ps(sxv, _mm512_loadu_ps(sw.as_ptr().add(h)));
+                let mut v = _mm512_mul_ps(scale, corrected);
+                if let Some(b) = bias {
+                    v = _mm512_add_ps(v, _mm512_loadu_ps(b.as_ptr().add(h)));
+                }
+                _mm512_storeu_ps(dst.as_mut_ptr().add(h), v);
+            }
+        }
+    }
+
     /// An 8×32 i32 tile is 16 zmm accumulators + 2 weight vectors + 1
     /// broadcast, within the 32 architectural zmm registers. Each
     /// `vpdpbusd` retires `KG` MACs per lane (64 per instruction).
@@ -552,6 +590,18 @@ mod kernels {
     }
 
     #[inline]
+    pub fn dequantize_panel(
+        acc: &[i32; NR],
+        sx: f32,
+        sw: &[f32],
+        col_sums: &[i32],
+        bias: Option<&[f32]>,
+        dst: &mut [f32],
+    ) {
+        super::dequantize(acc, sx, sw, col_sums, bias, dst);
+    }
+
+    #[inline]
     pub fn microkernel(arows: &[u8], panel: &[i8], kp: usize, mr_eff: usize, acc: &mut [[i32; NR]; MR]) {
         debug_assert_eq!(arows.len(), mr_eff * kp);
         debug_assert_eq!(panel.len(), kp * NR);
@@ -587,6 +637,9 @@ mod tests {
             .collect()
     }
 
+    /// `n` covers full 32-column panels only (32, 64, 96), a ragged panel
+    /// only (< 32), and both (33, 48, 100), so the 16-lane and scalar
+    /// dequantize epilogues are each pinned, with and without bias.
     #[test]
     fn matches_reference_oracle_bitwise_on_awkward_shapes() {
         for &(m, k, n) in &[
@@ -596,18 +649,27 @@ mod tests {
             (9, 17, 33),
             (13, 2, 31),
             (20, 64, 48),
+            (5, 24, 64),
+            (11, 40, 96),
+            (3, 33, 100),
         ] {
             let w = fill(k * n, 1);
             let x = fill(m * k, 2);
+            let bias = fill(n, 3);
             let qm = QuantizedMatrix::quantize(k, n, &w);
             let mut fast = vec![0.0f32; m * n];
             qgemm(m, &x, &qm, &mut fast);
             let mut slow = vec![0.0f32; m * n];
             reference::qgemm(m, k, n, &x, &w, &mut slow);
-            assert!(
-                fast.iter().zip(&slow).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "mismatch at ({m},{k},{n})"
-            );
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&slow), "mismatch at ({m},{k},{n})");
+            // The fused bias epilogue equals the oracle plus a separate
+            // bias broadcast.
+            let fused = qm.matmul_bias(&Tensor::from_vec(m, k, x.clone()), &bias);
+            for row in slow.chunks_mut(n) {
+                row.iter_mut().zip(&bias).for_each(|(v, b)| *v += b);
+            }
+            assert_eq!(bits(fused.data()), bits(&slow), "bias mismatch at ({m},{k},{n})");
         }
     }
 

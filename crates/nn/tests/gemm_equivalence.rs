@@ -120,6 +120,49 @@ proptest! {
     }
 }
 
+proptest! {
+    /// Row-partition invariance of the fast kernel's register tiles: `m`
+    /// rows in one call (4-row tiles, then single-row remainders) give
+    /// exactly the bits of `m` single-row calls, in both B layouts, at
+    /// non-tight strides. The single-row call is the oracle; the padding
+    /// between rows of C must stay untouched. Both also equal [`gemm`] on
+    /// packed copies of the operands.
+    #[test]
+    fn fast_strided_rows_are_partition_invariant(
+        m in 1usize..=49,
+        k in 0usize..=64,
+        n in 1usize..=64,
+        b_trans in 0u8..=1,
+        pad in 1usize..=5,
+    ) {
+        let b_trans = b_trans == 1;
+        let (sa, sc) = (k + pad, n + 2 * pad);
+        let (brows, bcols) = if b_trans { (n, k) } else { (k, n) };
+        let sb = bcols + pad + 1;
+        let salt = (m * 4096 + k * 64 + n) as u32;
+        let a = fill((m - 1) * sa + k, salt);
+        let b = fill(brows.saturating_sub(1) * sb + bcols, salt ^ 0x5bd1);
+        let sentinel = f32::from_bits(0x7fc0_1234);
+        let mut tiled = vec![sentinel; (m - 1) * sc + n];
+        gemm::gemm_fast_strided(m, k, n, &a, sa, &b, sb, b_trans, &mut tiled, sc);
+        let mut rowwise = vec![sentinel; (m - 1) * sc + n];
+        for i in 0..m {
+            let (ai, ci) = (&a[i * sa..], &mut rowwise[i * sc..]);
+            gemm::gemm_fast_strided(1, k, n, ai, sa, &b, sb, b_trans, ci, sc);
+        }
+        prop_assert_eq!(bits(&tiled), bits(&rowwise));
+
+        // The rows of a strided buffer, packed tight.
+        let tight = |v: &[f32], rows: usize, stride: usize, width: usize| -> Vec<f32> {
+            (0..rows).flat_map(|r| v[r * stride..r * stride + width].to_vec()).collect()
+        };
+        let (ac, bc) = (tight(&a, m, sa, k), tight(&b, brows, sb, bcols));
+        let mut packed = vec![0.0f32; m * n];
+        gemm::gemm(m, k, n, &ac, false, &bc, b_trans, &mut packed);
+        prop_assert_eq!(bits(&tight(&tiled, m, sc, n)), bits(&packed));
+    }
+}
+
 /// The degenerate axes, pinned explicitly (the property test only draws them
 /// with probability ~1/65 per axis).
 #[test]

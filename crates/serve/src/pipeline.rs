@@ -430,10 +430,16 @@ impl ServePipeline {
             // internally over the shared threadpool.
             let (scored_pairs, tokens, stage_err) =
                 score_misses(stage, &misses, serialized_slice, batch_size);
+            // Degraded scores came from a fallback tier, not this stage:
+            // caching them under this stage's key would replay them as
+            // this stage's answers after the backend recovers.
+            let degraded = stage.matcher.was_degraded();
             for &(p, s) in &scored_pairs {
                 scores[p] = s;
-                let (i, j) = pairs_slice[p];
-                cache.insert(ctx, k as u32, left.id(i), right.id(j), s);
+                if !degraded {
+                    let (i, j) = pairs_slice[p];
+                    cache.insert(ctx, k as u32, left.id(i), right.id(j), s);
+                }
             }
             let scored = scored_pairs.len();
             em_obs::metrics::counter("serve.scored").add(scored as u64);
@@ -488,7 +494,7 @@ impl ServePipeline {
                 cache_hits: hits as usize,
                 escalated: escalated.len(),
                 errored,
-                degraded: stage.matcher.was_degraded(),
+                degraded,
                 seconds: t0.elapsed().as_secs_f64(),
                 tokens,
                 bill: api_bill_for(tokens, 0, stage.usd_per_1k_tokens),
@@ -619,8 +625,11 @@ impl ServePipeline {
                 }
                 for &(p, s) in &mr.scored {
                     scores[p] = s;
-                    let (i, j) = pairs_slice[p];
-                    self.cache.insert(ctx, k as u32, left.id(i), right.id(j), s);
+                    // Never cache degraded scores (see `run_barrier`).
+                    if !outcome.degraded {
+                        let (i, j) = pairs_slice[p];
+                        self.cache.insert(ctx, k as u32, left.id(i), right.id(j), s);
+                    }
                 }
                 scored_n += mr.scored.len();
             }

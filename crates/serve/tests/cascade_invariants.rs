@@ -6,7 +6,8 @@
 use em_blocking::{full_cross_product, pair_set, Blocker, CandidatePair, TokenBlocker};
 use em_core::{AttrValue, EmError, EvalBatch, LodoSplit, Matcher, Record, Result};
 use em_matchers::StringSim;
-use em_serve::{RecordStore, ScoreCache, ServePipeline, Stage};
+use em_serve::{Executor, RecordStore, ScoreCache, ServeConfig, ServePipeline, Stage};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Pairs everything with everything (tiny-test blocker).
@@ -95,6 +96,44 @@ impl Matcher for Dead {
     }
     fn predict_scores(&mut self, _batch: &EvalBatch) -> Result<Vec<f32>> {
         Err(EmError::Numeric("backend unreachable".into()))
+    }
+}
+
+/// A hosted-style matcher with a fallback tier: while `down` is set it
+/// answers every pair with the fallback score [`FALLBACK`] and reports
+/// the call degraded; otherwise it scores like [`Scripted`].
+struct Flaky {
+    healthy: Scripted,
+    down: Arc<AtomicBool>,
+    degraded: bool,
+}
+
+const FALLBACK: f32 = 0.25;
+
+impl Matcher for Flaky {
+    fn name(&self) -> String {
+        "Flaky".into()
+    }
+    fn fit(&mut self, _split: &LodoSplit<'_>, _seed: u64) -> Result<()> {
+        Ok(())
+    }
+    fn predict(&mut self, batch: &EvalBatch) -> Result<Vec<bool>> {
+        Ok(self
+            .predict_scores(batch)?
+            .into_iter()
+            .map(|s| s >= 0.5)
+            .collect())
+    }
+    fn predict_scores(&mut self, batch: &EvalBatch) -> Result<Vec<f32>> {
+        self.degraded = self.down.load(Ordering::SeqCst);
+        if self.degraded {
+            Ok(vec![FALLBACK; batch.len()])
+        } else {
+            self.healthy.predict_scores(batch)
+        }
+    }
+    fn was_degraded(&self) -> bool {
+        self.degraded
     }
 }
 
@@ -515,5 +554,75 @@ fn warm_run_is_bitwise_when_capacity_is_not_exceeded() {
     }
     for (a, b) in cold.scores.iter().zip(&warm.scores) {
         assert_eq!(a.to_bits(), b.to_bits());
+    }
+}
+
+#[test]
+fn degraded_scores_are_never_cached() {
+    // Regression: a stage that fell back to its cheaper tier used to cache
+    // the fallback scores under its own key, so after the backend
+    // recovered they were replayed as that stage's answers. A degraded run
+    // must leave nothing in the cache for that stage; the healthy run
+    // after it re-scores every pair.
+    let scripted = [(0.6f32, 0.9f32), (0.55, 0.1), (0.45, 0.8)];
+    let left = scripted_store(&scripted);
+    let right = probe_store();
+    for executor in [Executor::Barrier, Executor::Pipelined] {
+        let (s0, _) = Scripted::new(0);
+        let (healthy, _) = Scripted::new(1);
+        let down = Arc::new(AtomicBool::new(true));
+        let flaky = Flaky {
+            healthy,
+            down: down.clone(),
+            degraded: false,
+        };
+        let mut pipe = ServePipeline::new(
+            Box::new(All),
+            vec![
+                // Every stage-0 score sits inside the margin: all escalate.
+                Stage::new("s0", Box::new(s0)).with_margin(1.0),
+                Stage::new("hosted", Box::new(flaky)),
+            ],
+        )
+        .unwrap()
+        .with_config(ServeConfig {
+            executor,
+            ..ServeConfig::default()
+        });
+
+        let outage = pipe.run(&left, &right).unwrap();
+        assert!(
+            outage.stages[1].degraded,
+            "{executor:?}: outage must be flagged"
+        );
+        assert_eq!(outage.stages[1].scored, scripted.len());
+        assert!(outage.scores.iter().all(|&s| s == FALLBACK));
+
+        down.store(false, Ordering::SeqCst);
+        let recovered = pipe.run(&left, &right).unwrap();
+        let hosted = &recovered.stages[1];
+        assert!(!hosted.degraded, "{executor:?}");
+        assert_eq!(
+            hosted.cache_hits, 0,
+            "{executor:?}: fallback scores were cached"
+        );
+        assert_eq!(
+            hosted.scored,
+            scripted.len(),
+            "{executor:?}: stage must re-score"
+        );
+        // Healthy stages keep caching as before.
+        assert_eq!(
+            recovered.stages[0].cache_hits,
+            scripted.len(),
+            "{executor:?}"
+        );
+        for (p, &(_, s1)) in recovered.pairs.iter().zip(&scripted) {
+            assert_eq!(
+                recovered.scores[p.0].to_bits(),
+                s1.to_bits(),
+                "{executor:?}"
+            );
+        }
     }
 }

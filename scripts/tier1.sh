@@ -122,6 +122,21 @@ drift_smoke="$PWD/target/tier1-drift.json"
 test -s "$drift_smoke" || { echo "drift drill smoke failed: $drift_smoke is empty"; exit 1; }
 echo "drift drill smoke: wrote $drift_smoke"
 
+# Portable-kernel gate: the em-nn suite rebuilt with AVX-512 switched off,
+# so the non-AVX-512 side of every `cfg`-gated kernel (fast f32 GEMM,
+# fast softmax, GELU and LayerNorm, int8 qgemm and its dequantize
+# epilogue) compiles and passes too. Its own target dir keeps the native
+# build's artifacts.
+CARGO_TARGET_DIR=target/portable \
+    RUSTFLAGS="-C target-cpu=native -C target-feature=-avx512f,-avx512vnni" \
+    cargo test --release -q -p em-nn
+
+# Repository benchmark tests (perfbench/README.md): BENCHMARK.json
+# matches the metrics the program prints, and a scaled-down instance of
+# each workload does identical work and gives an identical output digest
+# twice in one process.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 # Benchmark trajectory: regenerate the BENCH_TRAJECTORY.md roll-up from
 # the checked-in BENCH_*.json files so the cross-PR perf table never
 # drifts from the numbers it summarizes.
