@@ -25,14 +25,25 @@
 //!   and optimizer kernels (DESIGN.md §5/§8).
 //! * **Reuse.** An index depends only on its relation's records (plus the
 //!   feature configuration), so callers — notably
-//!   `em_serve::ServePipeline` — build it once per store generation and
-//!   probe it on every run.
+//!   `em_serve::ServePipeline` — build it once per store and probe it on
+//!   every run.
+//! * **Growth.** An append extends an index in place
+//!   ([`RelationIndex::extend`]): only the new records are tokenized, new
+//!   features are interned after the existing ids, and the postings are
+//!   re-laid — the result equals a fresh build over all records. The
+//!   overlap probe resumes from the previous [`CandidateSet`]: rows whose
+//!   candidates cannot have changed keep their old pairs and probe only
+//!   the right postings past the old right length (see
+//!   [`overlap_candidates`] for the exactness argument). A cold probe is
+//!   the resume from the empty prefix.
 //!
 //! Observability: `block.index_build` / `block.probe` spans,
-//! `block.postings` (posting entries built), `block.stopped_tokens`
-//! (features cut by the document-frequency threshold) and
-//! `block.candidates_raw` (pairs sharing ≥ 1 feature, before the
-//! `min_shared` filter) counters.
+//! `block.postings` (posting entries indexed), `block.stopped_tokens`
+//! (features cut by the document-frequency threshold),
+//! `block.candidates_raw` (probed pairs sharing ≥ 1 feature, before the
+//! `min_shared` filter), `block.stop_flips` (features whose stop status
+//! changed since the resumed probe) and `block.rows_reprobed` (old left
+//! rows probed in full because they hold such a feature) counters.
 
 use crate::{record_text, stop_threshold, CandidatePair};
 use em_core::{run_chunks, Record};
@@ -91,48 +102,67 @@ pub struct FeatureTable {
 }
 
 impl FeatureTable {
-    /// Builds the table from per-record (sorted, deduped) feature strings.
-    fn build(per_record: Vec<Vec<String>>) -> Self {
-        let n = per_record.len();
-        let mut ids: HashMap<String, u32> = HashMap::new();
-        let mut rec_offsets = Vec::with_capacity(n + 1);
-        rec_offsets.push(0u32);
-        let mut rec_feats: Vec<u32> = Vec::new();
+    /// A table over zero records.
+    fn empty() -> Self {
+        FeatureTable {
+            ids: HashMap::new(),
+            rec_offsets: vec![0],
+            rec_feats: Vec::new(),
+            post_offsets: vec![0],
+            postings: Vec::new(),
+        }
+    }
+
+    /// Appends records' (sorted, deduped) feature strings. New features
+    /// are interned after the existing ids in record order, so the table
+    /// equals a fresh build over all records, ids included.
+    fn extend(&mut self, per_record: Vec<Vec<String>>) {
         for feats in per_record {
             for f in feats {
-                let next = ids.len() as u32;
-                let id = *ids.entry(f).or_insert(next);
-                rec_feats.push(id);
+                let next = self.ids.len() as u32;
+                let id = *self.ids.entry(f).or_insert(next);
+                self.rec_feats.push(id);
             }
-            rec_offsets.push(rec_feats.len() as u32);
+            self.rec_offsets.push(self.rec_feats.len() as u32);
         }
-        // Counting sort of (feature, record) into flat postings; records
-        // are visited in order, so every posting list ends up ascending.
-        let vocab = ids.len();
-        let mut counts = vec![0u32; vocab];
-        for &id in &rec_feats {
-            counts[id as usize] += 1;
-        }
+        self.lay_postings();
+    }
+
+    /// Counting sort of (feature, record) into flat postings; records are
+    /// visited in order, so every posting list ends up ascending.
+    fn lay_postings(&mut self) {
+        let vocab = self.ids.len();
         let mut post_offsets = vec![0u32; vocab + 1];
+        for &id in &self.rec_feats {
+            post_offsets[id as usize + 1] += 1;
+        }
         for v in 0..vocab {
-            post_offsets[v + 1] = post_offsets[v] + counts[v];
+            post_offsets[v + 1] += post_offsets[v];
         }
         let mut cursor: Vec<u32> = post_offsets[..vocab].to_vec();
-        let mut postings = vec![0u32; rec_feats.len()];
-        for rec in 0..n {
-            for k in rec_offsets[rec] as usize..rec_offsets[rec + 1] as usize {
-                let id = rec_feats[k] as usize;
-                postings[cursor[id] as usize] = rec as u32;
-                cursor[id] += 1;
+        let mut postings = vec![0u32; self.rec_feats.len()];
+        for rec in 0..self.n_records() {
+            for &id in self.record_features(rec) {
+                postings[cursor[id as usize] as usize] = rec as u32;
+                cursor[id as usize] += 1;
             }
         }
-        FeatureTable {
-            ids,
-            rec_offsets,
-            rec_feats,
-            post_offsets,
-            postings,
+        self.post_offsets = post_offsets;
+        self.postings = postings;
+    }
+
+    /// Number of records indexed.
+    fn n_records(&self) -> usize {
+        self.rec_offsets.len() - 1
+    }
+
+    /// Per-feature document frequency over the first `n` records.
+    fn prefix_df(&self, n: usize) -> Vec<u32> {
+        let mut df: Vec<u32> = self.post_offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        for &id in &self.rec_feats[self.rec_offsets[n] as usize..] {
+            df[id as usize] -= 1;
         }
+        df
     }
 
     /// Number of distinct features.
@@ -184,45 +214,61 @@ impl RelationIndex {
     /// Builds the configured features, fanning extraction out over the
     /// shared threadpool budget in fixed chunks.
     pub fn build(records: &[Record], cfg: &IndexConfig) -> Self {
+        let mut index = RelationIndex {
+            n: 0,
+            texts: cfg.texts.then(Vec::new),
+            tokens: cfg.tokens.then(FeatureTable::empty),
+            qgrams: cfg.qgrams.map(|q| (q, FeatureTable::empty())),
+            config: *cfg,
+        };
+        index.extend(records);
+        index
+    }
+
+    /// Indexes `records` as appended after the records already indexed.
+    /// Only the new records are rendered, tokenized and q-grammed; the
+    /// result equals [`RelationIndex::build`] over the concatenation,
+    /// feature ids and postings included.
+    pub fn extend(&mut self, records: &[Record]) {
+        if records.is_empty() {
+            // Nothing appended: the features and postings are unchanged,
+            // so the postings are not re-laid.
+            return;
+        }
         let _span = em_obs::span!("block.index_build", records = records.len());
-        let need_texts = cfg.texts || cfg.tokens;
-        let texts: Option<Vec<String>> = if need_texts {
-            let chunks: Vec<&[Record]> = records.chunks(EXTRACT_CHUNK).collect();
-            Some(
-                run_chunks(&chunks, |c| {
-                    c.iter().map(record_text).collect::<Vec<_>>()
+        let before = self.n_postings();
+        let chunks: Vec<&[Record]> = records.chunks(EXTRACT_CHUNK).collect();
+        if self.config.texts || self.config.tokens {
+            let texts: Vec<String> =
+                run_chunks(&chunks, |c| c.iter().map(record_text).collect::<Vec<_>>())
+                    .expect("blocking text-render worker panicked")
+                    .into_iter()
+                    .flatten()
+                    .collect();
+            if let Some(table) = &mut self.tokens {
+                let text_chunks: Vec<&[String]> = texts.chunks(EXTRACT_CHUNK).collect();
+                let per_record: Vec<Vec<String>> = run_chunks(&text_chunks, |c| {
+                    c.iter()
+                        .map(|t| {
+                            let mut w = em_text::words(t);
+                            w.sort_unstable();
+                            w.dedup();
+                            w
+                        })
+                        .collect::<Vec<_>>()
                 })
-                .expect("blocking text-render worker panicked")
+                .expect("blocking tokenize worker panicked")
                 .into_iter()
                 .flatten()
-                .collect(),
-            )
-        } else {
-            None
-        };
-        let tokens = if cfg.tokens {
-            let ts = texts.as_deref().unwrap();
-            let chunks: Vec<&[String]> = ts.chunks(EXTRACT_CHUNK).collect();
-            let per_record: Vec<Vec<String>> = run_chunks(&chunks, |c| {
-                c.iter()
-                    .map(|t| {
-                        let mut w = em_text::words(t);
-                        w.sort_unstable();
-                        w.dedup();
-                        w
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .expect("blocking tokenize worker panicked")
-            .into_iter()
-            .flatten()
-            .collect();
-            Some(FeatureTable::build(per_record))
-        } else {
-            None
-        };
-        let qgrams = cfg.qgrams.map(|q| {
-            let chunks: Vec<&[Record]> = records.chunks(EXTRACT_CHUNK).collect();
+                .collect();
+                table.extend(per_record);
+            }
+            if let Some(kept) = &mut self.texts {
+                kept.extend(texts);
+            }
+        }
+        if let Some((q, table)) = &mut self.qgrams {
+            let q = *q;
             let per_record: Vec<Vec<String>> = run_chunks(&chunks, |c| {
                 c.iter()
                     .map(|r| crate::qgram::key_grams(r, q))
@@ -232,18 +278,16 @@ impl RelationIndex {
             .into_iter()
             .flatten()
             .collect();
-            (q, FeatureTable::build(per_record))
-        });
-        let built_postings = tokens.as_ref().map_or(0, FeatureTable::n_postings)
-            + qgrams.as_ref().map_or(0, |(_, t)| t.n_postings());
-        em_obs::metrics::counter("block.postings").add(built_postings as u64);
-        RelationIndex {
-            n: records.len(),
-            texts: if cfg.texts { texts } else { None },
-            tokens,
-            qgrams,
-            config: *cfg,
+            table.extend(per_record);
         }
+        em_obs::metrics::counter("block.postings").add((self.n_postings() - before) as u64);
+        self.n += records.len();
+    }
+
+    /// Posting entries across the built feature tables.
+    fn n_postings(&self) -> usize {
+        self.tokens.as_ref().map_or(0, FeatureTable::n_postings)
+            + self.qgrams.as_ref().map_or(0, |(_, t)| t.n_postings())
     }
 
     /// Number of indexed records.
@@ -280,56 +324,207 @@ impl RelationIndex {
     }
 }
 
-/// Join-table markers: the left feature does not exist on the right, or
-/// was cut by the document-frequency threshold.
+/// Join marker: the left feature has no right counterpart.
 const FEAT_NONE: u32 = u32::MAX;
-const FEAT_STOP: u32 = u32::MAX - 1;
 
-/// Shared-feature candidate generation over two feature tables: the
-/// engine behind both token and q-gram blocking.
+/// Left feature id → right feature id ([`FEAT_NONE`] when absent) for one
+/// pair of feature tables, covering their first `map.len()` /
+/// `right_vocab` ids. Ids are append-only, so an entry changes only when
+/// its counterpart is newly interned on the other side: the join is
+/// extended as either table grows, never rebuilt.
+#[derive(Debug, Clone, Default)]
+struct FeatureJoin {
+    map: Vec<u32>,
+    right_vocab: usize,
+}
+
+impl FeatureJoin {
+    /// Brings the join up to both tables' vocabularies, hashing only the
+    /// features interned since the last update. Slot writes are
+    /// independent, so the (unordered) HashMap iteration cannot affect the
+    /// result.
+    fn extend(&mut self, left: &FeatureTable, right: &FeatureTable) {
+        let (old_left, old_right) = (self.map.len(), self.right_vocab);
+        // New right ids, for the left ids already covered; new left ids
+        // are resolved against every right id below.
+        if old_left > 0 && right.vocab() > old_right {
+            for (feat, &rid) in &right.ids {
+                if rid as usize >= old_right {
+                    if let Some(lid) = left.lookup(feat).filter(|&l| (l as usize) < old_left) {
+                        self.map[lid as usize] = rid;
+                    }
+                }
+            }
+        }
+        if left.vocab() > old_left {
+            self.map.resize(left.vocab(), FEAT_NONE);
+            for (feat, &lid) in &left.ids {
+                if lid as usize >= old_left {
+                    if let Some(rid) = right.lookup(feat) {
+                        self.map[lid as usize] = rid;
+                    }
+                }
+            }
+        }
+        self.right_vocab = right.vocab();
+    }
+}
+
+/// Candidate pairs over two relations, plus what a later probe needs to
+/// resume from them once the relations have grown by appends
+/// ([`Blocker::candidates_grown`](crate::Blocker::candidates_grown)).
+/// [`CandidateSet::default`] is the empty set over zero records: resuming
+/// from it is a cold probe.
+#[derive(Debug, Clone, Default)]
+pub struct CandidateSet {
+    pairs: Vec<CandidatePair>,
+    left_len: usize,
+    right_len: usize,
+    /// Feature join of the overlap families (empty for the others).
+    join: FeatureJoin,
+}
+
+impl CandidateSet {
+    /// `pairs` over the first `left_len` × `right_len` records, with no
+    /// further resume state.
+    pub fn new(pairs: Vec<CandidatePair>, left_len: usize, right_len: usize) -> Self {
+        CandidateSet {
+            pairs,
+            left_len,
+            right_len,
+            join: FeatureJoin::default(),
+        }
+    }
+
+    /// The candidate pairs, sorted and deduplicated.
+    pub fn pairs(&self) -> &[CandidatePair] {
+        &self.pairs
+    }
+
+    /// The candidate pairs, by value.
+    pub fn into_pairs(self) -> Vec<CandidatePair> {
+        self.pairs
+    }
+
+    /// Left records the set was generated over.
+    pub fn left_len(&self) -> usize {
+        self.left_len
+    }
+
+    /// Right records the set was generated over.
+    pub fn right_len(&self) -> usize {
+        self.right_len
+    }
+}
+
+/// Shared-feature candidate generation over two feature tables, resumed
+/// from `prior`: the one engine behind both token and q-gram blocking.
 ///
 /// Semantics are exactly the sequential reference's: document frequency
 /// is counted over *both* relations, features past
 /// `stop_threshold(n_left + n_right, max_frequency)` are cut before any
 /// posting expansion, and a pair is a candidate when it shares at least
 /// `min_shared` surviving features.
+///
+/// Resuming is exact because the relations only grew by appends: `prior`
+/// covers the first `left_len` × `right_len` records, and those records'
+/// features are unchanged. An old pair (both records old) therefore
+/// shares the same features as before, so its count can change only
+/// through a feature whose stop status flipped — the df and the
+/// threshold both move with the appends. Old left rows holding a flipped
+/// feature (one that both old sides held) are re-probed in full, as are
+/// the appended left rows. Every other row is its old row, whose pairs
+/// all lie below the old right length, followed by a probe over only the
+/// posting suffixes past the old right length — so the output is sorted
+/// by construction. A cold probe is the resume from the empty prefix,
+/// where every left row is an appended one.
 pub(crate) fn overlap_candidates(
     left: &FeatureTable,
     right: &FeatureTable,
-    n_left: usize,
-    n_right: usize,
     min_shared: usize,
     max_frequency: f64,
-) -> Vec<CandidatePair> {
+    prior: &CandidateSet,
+) -> CandidateSet {
+    let (n_left, n_right) = (left.n_records(), right.n_records());
+    let (old_left, old_right) = (prior.left_len, prior.right_len);
+    assert!(
+        old_left <= n_left && old_right <= n_right,
+        "prior covers {old_left}×{old_right} records, the indexes {n_left}×{n_right}"
+    );
     let _span = em_obs::span!("block.probe", left = n_left, right = n_right);
     let max_df = stop_threshold(n_left + n_right, max_frequency);
+    let mut join = prior.join.clone();
+    join.extend(left, right);
 
-    // Resolve every left feature id to its right-relation counterpart
-    // once, applying the df cut here so the banded loop below is pure
-    // integer work. Slot writes are independent, so the (unordered)
-    // HashMap iteration cannot affect the result.
-    let mut join = vec![FEAT_NONE; left.vocab()];
+    // Document frequencies over the old prefixes: the stop status the
+    // prior was probed under, and where each right posting's suffix of
+    // appended records starts. A cold probe needs neither.
+    let resume = old_left > 0;
+    let (left_df_old, right_df_old) = if resume {
+        (left.prefix_df(old_left), right.prefix_df(old_right))
+    } else {
+        (Vec::new(), Vec::new())
+    };
+    let old_max_df = stop_threshold(old_left + old_right, max_frequency);
+
+    // Resolve every left feature to the postings of its surviving right
+    // counterpart once — `(start, suffix start, end)` into
+    // `right.postings`, empty when cut or absent on the right — so the
+    // banded loop below is pure integer work, and collect the features
+    // whose stop status flipped.
+    let mut spans = vec![(0u32, 0u32, 0u32); left.vocab()];
     let mut stopped = 0u64;
-    for (feat, &lid) in &left.ids {
-        if let Some(rid) = right.lookup(feat) {
-            if left.df(lid) + right.df(rid) > max_df {
-                join[lid as usize] = FEAT_STOP;
-                stopped += 1;
-            } else {
-                join[lid as usize] = rid;
-            }
-        } else if left.df(lid) > max_df {
+    let mut flipped: Vec<u32> = Vec::new();
+    for (lid, &rid) in join.map.iter().enumerate() {
+        let left_df = left.df(lid as u32);
+        if rid == FEAT_NONE {
             // Left-only features past the cut produce no candidates either
             // way; counted for the stop-token telemetry only.
+            stopped += u64::from(left_df > max_df);
+            continue;
+        }
+        let cut = left_df + right.df(rid) > max_df;
+        if cut {
             stopped += 1;
+        } else {
+            let (start, end) = (
+                right.post_offsets[rid as usize],
+                right.post_offsets[rid as usize + 1],
+            );
+            let suffix = if resume {
+                start + right_df_old[rid as usize]
+            } else {
+                start
+            };
+            spans[lid] = (start, suffix, end);
+        }
+        if resume {
+            let (l_old, r_old) = (
+                left_df_old[lid] as usize,
+                right_df_old[rid as usize] as usize,
+            );
+            if l_old > 0 && r_old > 0 && (l_old + r_old > old_max_df) != cut {
+                flipped.push(lid as u32);
+            }
         }
     }
-    em_obs::metrics::counter("block.stopped_tokens").add(stopped);
+    let mut reprobe = vec![false; old_left];
+    for &lid in &flipped {
+        for &i in left
+            .posting(lid)
+            .iter()
+            .take_while(|&&i| (i as usize) < old_left)
+        {
+            reprobe[i as usize] = true;
+        }
+    }
+    let rows_reprobed = reprobe.iter().filter(|&&r| r).count();
 
     // Banded probe: fixed-width left bands, dense per-band accumulators,
     // outputs concatenated in band order (run_chunks preserves item
     // order) — sorted by construction, bitwise-stable across thread
     // counts.
+    let old_pairs = &prior.pairs[..];
     let bands: Vec<(usize, usize)> = (0..n_left)
         .step_by(PROBE_BAND)
         .map(|s| (s, (s + PROBE_BAND).min(n_left)))
@@ -339,13 +534,20 @@ pub(crate) fn overlap_candidates(
         let mut touched: Vec<u32> = Vec::new();
         let mut out: Vec<CandidatePair> = Vec::new();
         let mut raw = 0u64;
+        let mut old = old_pairs.partition_point(|p| p.0 < start);
         for i in start..end {
+            let row = old;
+            while old < old_pairs.len() && old_pairs[old].0 == i {
+                old += 1;
+            }
+            let full = i >= old_left || reprobe[i];
+            if !full {
+                out.extend_from_slice(&old_pairs[row..old]);
+            }
             for &lf in left.record_features(i) {
-                let rid = join[lf as usize];
-                if rid == FEAT_NONE || rid == FEAT_STOP {
-                    continue;
-                }
-                for &j in right.posting(rid) {
+                let (all, appended, to) = spans[lf as usize];
+                let from = if full { all } else { appended };
+                for &j in &right.postings[from as usize..to as usize] {
                     if counts[j as usize] == 0 {
                         touched.push(j);
                     }
@@ -367,14 +569,22 @@ pub(crate) fn overlap_candidates(
     .expect("blocking probe worker panicked");
 
     let mut raw_total = 0u64;
-    let mut out = Vec::with_capacity(per_band.iter().map(|(v, _)| v.len()).sum());
+    let mut pairs = Vec::with_capacity(per_band.iter().map(|(v, _)| v.len()).sum());
     for (band, raw) in per_band {
-        out.extend(band);
+        pairs.extend(band);
         raw_total += raw;
     }
+    em_obs::metrics::counter("block.stopped_tokens").add(stopped);
+    em_obs::metrics::counter("block.stop_flips").add(flipped.len() as u64);
+    em_obs::metrics::counter("block.rows_reprobed").add(rows_reprobed as u64);
     em_obs::metrics::counter("block.candidates_raw").add(raw_total);
     em_obs::metrics::counter("block.probes").inc();
-    out
+    CandidateSet {
+        pairs,
+        left_len: n_left,
+        right_len: n_right,
+        join,
+    }
 }
 
 /// Sorted-neighbourhood candidate generation over two text indexes: merge
@@ -472,7 +682,8 @@ mod tests {
 
     #[test]
     fn feature_table_postings_are_ascending_and_complete() {
-        let t = FeatureTable::build(vec![
+        let mut t = FeatureTable::empty();
+        t.extend(vec![
             vec!["b".into(), "c".into()],
             vec!["a".into(), "b".into()],
             vec!["b".into()],
@@ -540,5 +751,40 @@ mod tests {
         );
         assert!(ix.is_empty());
         assert_eq!(ix.tokens().unwrap().vocab(), 0);
+    }
+
+    #[test]
+    fn extension_equals_a_fresh_build() {
+        let records = vec![
+            rec(0, "sony tv"),
+            rec(1, "canon camera"),
+            rec(2, "sony camera bag"),
+            rec(3, "nikon lens"),
+            rec(4, "canon lens cap"),
+        ];
+        let cfg = IndexConfig {
+            texts: true,
+            tokens: true,
+            qgrams: Some(3),
+        };
+        let fresh = RelationIndex::build(&records, &cfg);
+        for split in 0..=records.len() {
+            let mid = (split + records.len()) / 2;
+            let mut grown = RelationIndex::build(&records[..split], &cfg);
+            grown.extend(&records[split..mid]);
+            grown.extend(&records[mid..]);
+            assert_eq!(grown.len(), fresh.len());
+            assert_eq!(grown.texts(), fresh.texts());
+            for (a, b) in [
+                (grown.tokens().unwrap(), fresh.tokens().unwrap()),
+                (grown.qgrams(3).unwrap(), fresh.qgrams(3).unwrap()),
+            ] {
+                assert_eq!(a.ids, b.ids, "ids interned in record order");
+                assert_eq!(a.rec_offsets, b.rec_offsets);
+                assert_eq!(a.rec_feats, b.rec_feats);
+                assert_eq!(a.post_offsets, b.post_offsets);
+                assert_eq!(a.postings, b.postings);
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@ pub mod reference;
 pub mod sorted;
 pub mod token;
 
-pub use index::{FeatureTable, IndexConfig, RelationIndex};
+pub use index::{CandidateSet, FeatureTable, IndexConfig, RelationIndex};
 pub use metrics::{pair_completeness, reduction_ratio, BlockingQuality};
 pub use qgram::QGramBlocker;
 pub use sorted::SortedNeighbourhood;
@@ -36,6 +36,9 @@ pub type CandidatePair = (usize, usize);
 /// that run blocking repeatedly (the serving pipeline) keep the indexes
 /// and call [`Blocker::candidates_indexed`] directly — the index build is
 /// the expensive half of blocking, and it only depends on the relation.
+/// When the relations only ever grow by appends, such systems extend the
+/// indexes ([`RelationIndex::extend`]) and resume from the previous
+/// candidates through [`Blocker::candidates_grown`].
 pub trait Blocker {
     /// The features [`Blocker::candidates_indexed`] reads from its
     /// indexes.
@@ -51,6 +54,25 @@ pub trait Blocker {
         left: &RelationIndex,
         right: &RelationIndex,
     ) -> Vec<CandidatePair>;
+
+    /// The growth entry: candidates over `left` × `right`, resumed from
+    /// `prior` — the set this blocker returned when the two relations
+    /// were prefixes of the indexed ones (its first
+    /// [`CandidateSet::left_len`] / [`CandidateSet::right_len`] records).
+    /// [`CandidateSet::default`] is the empty prefix, i.e. a cold probe.
+    /// The result must equal [`Blocker::candidates_indexed`] bit for bit.
+    ///
+    /// Returns `None` when the blocker cannot resume (the default); the
+    /// caller then probes cold. Sorted neighbourhood is one such blocker:
+    /// an appended record shifts every window after its sort position.
+    fn candidates_grown(
+        &self,
+        _left: &RelationIndex,
+        _right: &RelationIndex,
+        _prior: &CandidateSet,
+    ) -> Option<CandidateSet> {
+        None
+    }
 
     /// Generates candidate pairs `(left index, right index)`, building
     /// single-use indexes for both relations.

@@ -1,7 +1,7 @@
 //! Q-gram blocking: candidates share at least `min_shared` character
 //! q-grams of their key value — robust to typos that break token blocking.
 
-use crate::index::{overlap_candidates, IndexConfig, RelationIndex};
+use crate::index::{overlap_candidates, CandidateSet, IndexConfig, RelationIndex};
 use crate::{Blocker, CandidatePair};
 use em_core::Record;
 
@@ -60,20 +60,29 @@ impl Blocker for QGramBlocker {
         left: &RelationIndex,
         right: &RelationIndex,
     ) -> Vec<CandidatePair> {
-        let lg = left
-            .qgrams(self.q)
-            .expect("left index built without matching q-grams");
-        let rg = right
-            .qgrams(self.q)
-            .expect("right index built without matching q-grams");
-        overlap_candidates(
-            lg,
-            rg,
-            left.len(),
-            right.len(),
+        self.candidates_grown(left, right, &CandidateSet::default())
+            .expect("overlap blockers always resume")
+            .into_pairs()
+    }
+
+    /// Resumes the overlap probe from `prior` (see
+    /// [`crate::index::overlap_candidates`] for why it is exact).
+    fn candidates_grown(
+        &self,
+        left: &RelationIndex,
+        right: &RelationIndex,
+        prior: &CandidateSet,
+    ) -> Option<CandidateSet> {
+        Some(overlap_candidates(
+            left.qgrams(self.q)
+                .expect("left index built without matching q-grams"),
+            right
+                .qgrams(self.q)
+                .expect("right index built without matching q-grams"),
             self.min_shared,
             self.max_gram_frequency,
-        )
+            prior,
+        ))
     }
 }
 

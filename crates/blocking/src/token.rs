@@ -1,7 +1,7 @@
 //! Token blocking: two records become a candidate pair when they share at
 //! least `min_shared` word tokens. The classic high-recall baseline.
 
-use crate::index::{overlap_candidates, IndexConfig, RelationIndex};
+use crate::index::{overlap_candidates, CandidateSet, IndexConfig, RelationIndex};
 use crate::{Blocker, CandidatePair};
 
 /// Token (word-overlap) blocker.
@@ -40,16 +40,26 @@ impl Blocker for TokenBlocker {
         left: &RelationIndex,
         right: &RelationIndex,
     ) -> Vec<CandidatePair> {
-        let lt = left.tokens().expect("left index built without tokens");
-        let rt = right.tokens().expect("right index built without tokens");
-        overlap_candidates(
-            lt,
-            rt,
-            left.len(),
-            right.len(),
+        self.candidates_grown(left, right, &CandidateSet::default())
+            .expect("overlap blockers always resume")
+            .into_pairs()
+    }
+
+    /// Resumes the overlap probe from `prior` (see
+    /// [`crate::index::overlap_candidates`] for why it is exact).
+    fn candidates_grown(
+        &self,
+        left: &RelationIndex,
+        right: &RelationIndex,
+        prior: &CandidateSet,
+    ) -> Option<CandidateSet> {
+        Some(overlap_candidates(
+            left.tokens().expect("left index built without tokens"),
+            right.tokens().expect("right index built without tokens"),
             self.min_shared,
             self.max_token_frequency,
-        )
+            prior,
+        ))
     }
 }
 

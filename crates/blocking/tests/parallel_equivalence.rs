@@ -1,9 +1,10 @@
 //! Blocking-equivalence suite: the indexed, banded-parallel candidate
 //! generation must be **bitwise identical** to the sequential reference
 //! implementations in [`em_blocking::reference`] for every family, every
-//! relation shape, and every thread count — and a prebuilt index reused
+//! relation shape, and every thread count — a prebuilt index reused
 //! across runs (including after the other side changed) must answer
-//! exactly like a fresh build.
+//! exactly like a fresh build, and so must indexes grown by appends with
+//! the probe resumed from the previous candidates.
 //!
 //! This lives in its own integration binary because the thread-count
 //! parity tests mutate the process-global worker budget via
@@ -11,10 +12,10 @@
 //! [`THREAD_CAP`].
 
 use em_blocking::{
-    reference, Blocker, CandidatePair, QGramBlocker, RelationIndex, SortedNeighbourhood,
-    TokenBlocker,
+    reference, Blocker, CandidatePair, CandidateSet, QGramBlocker, RelationIndex,
+    SortedNeighbourhood, TokenBlocker,
 };
-use em_core::Record;
+use em_core::{AttrValue, Record};
 use em_nn::threadpool;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -96,6 +97,57 @@ fn at_each_cap(mut f: impl FnMut(usize)) {
     threadpool::set_max_threads(None);
 }
 
+/// Grows two indexes through `sizes` — non-decreasing `(left, right)`
+/// prefix lengths of `left`/`right` — resuming the probe at every step
+/// from the previous step's set (the first step resumes from the empty
+/// set, i.e. probes cold). Every step must equal `candidates_indexed` on
+/// freshly built indexes and the sequential oracle. Returns each step's
+/// candidates.
+fn grow_and_check(
+    family: &Family,
+    left: &[Record],
+    right: &[Record],
+    sizes: &[(usize, usize)],
+) -> Result<Vec<Vec<CandidatePair>>, String> {
+    let cfg = family.blocker.required_features();
+    let mut left_index = RelationIndex::build(&[], &cfg);
+    let mut right_index = RelationIndex::build(&[], &cfg);
+    let mut set = CandidateSet::default();
+    let mut steps = Vec::with_capacity(sizes.len());
+    for &(nl, nr) in sizes {
+        left_index.extend(&left[left_index.len()..nl]);
+        right_index.extend(&right[right_index.len()..nr]);
+        set = family
+            .blocker
+            .candidates_grown(&left_index, &right_index, &set)
+            .ok_or_else(|| format!("{} cannot resume", family.name))?;
+        let fresh = family.blocker.candidates_indexed(
+            &RelationIndex::build(&left[..nl], &cfg),
+            &RelationIndex::build(&right[..nr], &cfg),
+        );
+        if set.pairs() != fresh {
+            return Err(format!(
+                "{} at {nl}×{nr}: resumed {:?} vs fresh {:?}",
+                family.name,
+                set.pairs(),
+                fresh
+            ));
+        }
+        let oracle = (family.oracle)(&left[..nl], &right[..nr]);
+        if fresh != oracle {
+            return Err(format!(
+                "{} at {nl}×{nr}: diverged from reference",
+                family.name
+            ));
+        }
+        if (set.left_len(), set.right_len()) != (nl, nr) {
+            return Err(format!("{}: set does not record its extent", family.name));
+        }
+        steps.push(fresh);
+    }
+    Ok(steps)
+}
+
 proptest! {
     /// Indexed candidates equal the sequential oracle exactly — same
     /// pairs, same order — for every family at 1, 2, and 8 threads.
@@ -157,6 +209,138 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    /// Random sequences of appends to either side (or both, or neither):
+    /// every overlap family's resumed probe equals a fresh build and the
+    /// oracle after every append, at 1, 2 and 8 threads. Small relations
+    /// move the stop threshold on almost every append, so stop-status
+    /// flips occur too (dropping the flip re-probe fails this property).
+    #[test]
+    fn appends_resume_to_the_cold_candidates_at_every_thread_count(
+        seed in 0u64..10,
+        left0 in 0usize..30,
+        right0 in 0usize..30,
+        codes in proptest::collection::vec(0usize..36, 5),
+        tenths in 0usize..=10,
+    ) {
+        // Step code: side = code % 3 (left, right, both), records = code / 3.
+        let mut sizes = vec![(left0, right0)];
+        for code in &codes {
+            let (nl, nr) = *sizes.last().unwrap();
+            let k = code / 3;
+            sizes.push(match code % 3 {
+                0 => (nl + k, nr),
+                1 => (nl, nr + k),
+                _ => (nl + k, nr + k),
+            });
+        }
+        let (total_left, total_right) = *sizes.last().unwrap();
+        let rels = em_datagen::serve_relations(
+            total_left,
+            total_right,
+            tenths as f64 / 10.0,
+            seed,
+        );
+        for family in families().iter().filter(|f| !f.name.starts_with("sorted")) {
+            let mut failure: Option<String> = None;
+            at_each_cap(|cap| {
+                if let Err(e) = grow_and_check(family, &rels.left, &rels.right, &sizes) {
+                    failure.get_or_insert(format!("at {cap} threads: {e}"));
+                }
+            });
+            prop_assert!(failure.is_none(), "{}", failure.unwrap());
+        }
+    }
+}
+
+fn texts(base: u64, values: &[&str]) -> Vec<Record> {
+    values
+        .iter()
+        .enumerate()
+        .map(|(k, t)| Record::new(base + k as u64, vec![AttrValue::from(*t)]))
+        .collect()
+}
+
+/// A token family with a cut loose enough to flip on a handful of records.
+fn flip_family() -> Family {
+    let blocker = TokenBlocker {
+        min_shared: 1,
+        max_token_frequency: 0.5,
+    };
+    Family {
+        name: "token-flip",
+        blocker: Box::new(blocker),
+        oracle: Box::new(move |l, r| reference::token_candidates(&blocker, l, r)),
+    }
+}
+
+/// Active → stopped as a feature's document frequency grows: "brand"
+/// pairs the two old records (df 2 of 4 records, cut at 2), then the
+/// appends push its df past the moved cut. The old pair must disappear —
+/// only a re-probe of the old row can drop it.
+#[test]
+fn flip_to_stopped_as_document_frequency_grows() {
+    let left = texts(0, &["brand alpha", "gamma one", "brand omega"]);
+    let right = texts(100, &["brand beta", "delta two", "brand x", "brand y"]);
+    let family = flip_family();
+    // Right appends alone push the df past the cut; so does a left
+    // append followed by right appends.
+    for sizes in [vec![(2, 2), (2, 4)], vec![(2, 2), (3, 2), (3, 4)]] {
+        at_each_cap(|cap| {
+            let steps = grow_and_check(&family, &left, &right, &sizes)
+                .unwrap_or_else(|e| panic!("at {cap} threads: {e}"));
+            assert_eq!(steps[0], vec![(0, 0)], "setup: brand pairs the old records");
+            assert!(
+                !steps.last().unwrap().contains(&(0, 0)),
+                "brand must be stopped after the appends"
+            );
+        });
+    }
+}
+
+/// Stopped → active as the threshold rises: "brand" is in all three old
+/// records (df 3, cut at 2), and appends of unrelated records raise the
+/// cut to 3. Pairs between *old* records appear — only a re-probe of the
+/// old row can add them, since the posting suffixes past the old right
+/// length do not hold them.
+#[test]
+fn flip_to_active_as_the_threshold_rises() {
+    let left = texts(0, &["brand alpha", "one", "two", "three"]);
+    let right = texts(100, &["brand beta", "brand gamma", "four", "five", "six"]);
+    let family = flip_family();
+    for sizes in [
+        vec![(1, 2), (4, 2)],
+        vec![(1, 2), (1, 5)],
+        vec![(1, 2), (2, 3), (3, 4)],
+    ] {
+        at_each_cap(|cap| {
+            let steps = grow_and_check(&family, &left, &right, &sizes)
+                .unwrap_or_else(|e| panic!("at {cap} threads: {e}"));
+            assert!(steps[0].is_empty(), "setup: brand starts stopped");
+            let last = steps.last().unwrap();
+            assert!(
+                last.contains(&(0, 0)) && last.contains(&(0, 1)),
+                "brand must pair the old records once active, got {last:?}"
+            );
+        });
+    }
+}
+
+/// Sorted neighbourhood cannot resume — an appended record shifts every
+/// window after its sort position — so its growth entry reports
+/// unsupported, and callers probe cold.
+#[test]
+fn sorted_neighbourhood_reports_growth_unsupported() {
+    let rels = em_datagen::serve_relations(20, 20, 0.3, 3);
+    let blocker = SortedNeighbourhood { window: 4 };
+    let cfg = blocker.required_features();
+    let left = RelationIndex::build(&rels.left, &cfg);
+    let right = RelationIndex::build(&rels.right, &cfg);
+    assert!(blocker
+        .candidates_grown(&left, &right, &CandidateSet::default())
+        .is_none());
 }
 
 /// The serving configuration at a deterministic, non-trivial scale: one

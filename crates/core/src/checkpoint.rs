@@ -9,12 +9,14 @@
 //! Rust's shortest-roundtrip float formatting.
 //!
 //! The format is deliberately tiny: one flat JSON object per line, written
-//! and parsed by this module alone (no external JSON dependency). A run
+//! with the workspace's one JSON string escaper ([`em_obs::json`]) and
+//! parsed by this module alone (no external JSON dependency). A run
 //! killed mid-write may leave a partial final line; the reader tolerates
 //! exactly that and rejects corruption anywhere else.
 
 use crate::dataset::DatasetId;
 use crate::error::{EmError, Result};
+use em_obs::json::push_escaped;
 use std::fs::File;
 use std::io::{BufWriter, Read as _, Write as _};
 use std::path::Path;
@@ -46,9 +48,9 @@ impl CheckpointRow {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(128);
         out.push_str("{\"label\":");
-        push_json_string(&mut out, &self.label);
+        push_escaped(&mut out, &self.label);
         out.push_str(",\"name\":");
-        push_json_string(&mut out, &self.name);
+        push_escaped(&mut out, &self.name);
         out.push_str(",\"params\":");
         match self.params_millions {
             Some(p) => out.push_str(&fmt_f64(p)),
@@ -130,9 +132,9 @@ impl SensitivityRow {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(96);
         out.push_str("{\"matcher\":");
-        push_json_string(&mut out, &self.matcher);
+        push_escaped(&mut out, &self.matcher);
         out.push_str(",\"perturbation\":");
-        push_json_string(&mut out, &self.perturbation);
+        push_escaped(&mut out, &self.perturbation);
         out.push_str(",\"precision\":");
         out.push_str(&fmt_f64(self.precision));
         out.push_str(",\"recall\":");
@@ -173,22 +175,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn bad(msg: String) -> EmError {

@@ -4,7 +4,7 @@ use crate::cache::ScoreCache;
 use crate::stage::Stage;
 use crate::store::RecordStore;
 use em_blocking::{
-    metrics::reduction_ratio, Blocker, CandidatePair, IndexConfig, RelationIndex,
+    metrics::reduction_ratio, Blocker, CandidatePair, CandidateSet, IndexConfig, RelationIndex,
 };
 use em_core::{run_chunks, EmError, EvalBatch, Result, SerializedPair};
 use em_cost::estimate::{api_bill_for, ApiBill};
@@ -118,8 +118,10 @@ pub struct ServeReport {
     pub candidates: usize,
     /// Blocking reduction ratio vs the full cross product.
     pub reduction_ratio: f64,
-    /// Seconds spent in blocking (index build/reuse + probe + pair
-    /// serialization).
+    /// Seconds spent in blocking: index build, or extension by the
+    /// appended records of a grown store; the probe, resumed from the
+    /// previous candidates when both stores only grew; pair
+    /// serialization.
     pub blocking_seconds: f64,
     /// `true` when both stores were unchanged since the previous run and
     /// the candidate set (and its serialized view) was reused outright —
@@ -167,19 +169,29 @@ impl ServeReport {
 ///
 /// Each side's [`RelationIndex`] stays valid while its store's
 /// `(store_id, generation)` is unchanged; the candidate set and its
-/// serialized view stay valid while *both* sides are unchanged. A store
-/// mutation invalidates exactly the stale side — the fresh side's index
-/// is still reused for the re-probe.
+/// serialized view stay valid while *both* sides are unchanged. Stores
+/// mutate only through `append`, so a side that keeps its `store_id` at a
+/// later generation has grown: its indexed records are a prefix of the
+/// store, and its index is extended in place rather than rebuilt. When
+/// both sides kept their stores, the probe resumes from `candidates`
+/// ([`Blocker::candidates_grown`]). A side that is a different store (a
+/// new one, or a clone) is rebuilt, and the probe runs cold.
 struct BlockSlot {
     left_key: (u64, u64),
     right_key: (u64, u64),
     /// Features the indexes were built with; must cover the blocker's
     /// requirement for the slot to be reusable.
     features: IndexConfig,
-    left_index: Arc<RelationIndex>,
-    right_index: Arc<RelationIndex>,
-    pairs: Arc<Vec<CandidatePair>>,
+    left_index: RelationIndex,
+    right_index: RelationIndex,
+    candidates: Arc<CandidateSet>,
     serialized: Arc<Vec<SerializedPair>>,
+}
+
+/// `true` when a store keyed `now` is the store keyed `then`, possibly
+/// grown by appends since.
+fn same_store(then: (u64, u64), now: (u64, u64)) -> bool {
+    then.0 == now.0 && now.1 >= then.1
 }
 
 /// A configured serving pipeline: blocker, matcher cascade, score cache.
@@ -190,7 +202,9 @@ struct BlockSlot {
 /// scoring is cached per `(serialization ctx, stage, left_id, right_id)`,
 /// so a repeated run over the same stores returns bitwise-identical
 /// scores without invoking any matcher — and, because blocking state is
-/// cached per store generation, without re-blocking either. The ctx
+/// cached per store generation, without re-blocking either; after an
+/// append, blocking indexes only the appended records and re-probes only
+/// what they can change. The ctx
 /// component combines both stores' serializer fingerprints, so re-serving
 /// the same ids under a different serialization re-scores instead of
 /// replaying stale answers.
@@ -249,58 +263,81 @@ impl ServePipeline {
         self.slot = None;
     }
 
-    /// Blocking for one run: reuse each side's index while its store is
-    /// unchanged, reuse the candidate set outright when both are, and
-    /// serialize fresh candidates as `Arc<str>` views of the stores'
-    /// pre-rendered texts. Returns `(pairs, serialized, reused)`.
+    /// Blocking for one run: reuse the candidate set outright when both
+    /// stores are unchanged; otherwise extend each grown side's index (a
+    /// different store is indexed afresh), resume the probe from the
+    /// previous candidates when both sides kept their stores, and
+    /// serialize the candidates as `Arc<str>` views of the stores'
+    /// pre-rendered texts. Returns `(candidates, serialized, reused)`.
     fn block(
         &mut self,
         left: &RecordStore,
         right: &RecordStore,
-    ) -> Result<(Arc<Vec<CandidatePair>>, Arc<Vec<SerializedPair>>, bool)> {
+    ) -> Result<(Arc<CandidateSet>, Arc<Vec<SerializedPair>>, bool)> {
         let needed = self.blocker.required_features();
         let left_key = left.cache_key();
         let right_key = right.cache_key();
+        let slot = self.slot.take().filter(|s| s.features.covers(&needed));
+        if let Some(s) = slot.as_ref() {
+            if s.left_key == left_key && s.right_key == right_key {
+                em_obs::metrics::counter("serve.blocking_reused").inc();
+                let reused = (Arc::clone(&s.candidates), Arc::clone(&s.serialized), true);
+                self.slot = slot;
+                return Ok(reused);
+            }
+        }
 
-        let reusable = |side_key: (u64, u64), slot_key: (u64, u64), slot: &BlockSlot| {
-            side_key == slot_key && slot.features.covers(&needed)
+        let index = |kept: Option<RelationIndex>, store: &RecordStore| match kept {
+            Some(mut ix) => {
+                ix.extend(&store.records()[ix.len()..]);
+                ix
+            }
+            None => RelationIndex::build(store.records(), &needed),
         };
-        let left_index = match &self.slot {
-            Some(s) if reusable(left_key, s.left_key, s) => Arc::clone(&s.left_index),
-            _ => Arc::new(RelationIndex::build(left.records(), &needed)),
+        let (left_index, right_index, prior) = match slot {
+            Some(s) => {
+                let keep_left = same_store(s.left_key, left_key);
+                let keep_right = same_store(s.right_key, right_key);
+                let prior = if keep_left && keep_right {
+                    s.candidates
+                } else {
+                    Arc::default()
+                };
+                (
+                    index(keep_left.then_some(s.left_index), left),
+                    index(keep_right.then_some(s.right_index), right),
+                    prior,
+                )
+            }
+            None => (index(None, left), index(None, right), Arc::default()),
         };
-        let right_index = match &self.slot {
-            Some(s) if reusable(right_key, s.right_key, s) => Arc::clone(&s.right_index),
-            _ => Arc::new(RelationIndex::build(right.records(), &needed)),
-        };
+        let candidates = self
+            .blocker
+            .candidates_grown(&left_index, &right_index, &prior)
+            .unwrap_or_else(|| {
+                CandidateSet::new(
+                    self.blocker.candidates_indexed(&left_index, &right_index),
+                    left_index.len(),
+                    right_index.len(),
+                )
+            });
 
-        let full_reuse = self
-            .slot
-            .as_ref()
-            .is_some_and(|s| reusable(left_key, s.left_key, s) && reusable(right_key, s.right_key, s));
-        let (pairs, serialized) = if full_reuse {
-            let s = self.slot.as_ref().expect("checked above");
-            em_obs::metrics::counter("serve.blocking_reused").inc();
-            (Arc::clone(&s.pairs), Arc::clone(&s.serialized))
-        } else {
-            let pairs = self.blocker.candidates_indexed(&left_index, &right_index);
-            // Serialized views of the stores' pre-rendered texts: each
-            // pair is two reference-count bumps, never a string copy.
-            let chunks: Vec<&[CandidatePair]> = pairs.chunks(PAIR_CHUNK).collect();
-            let serialized: Vec<SerializedPair> = run_chunks(&chunks, |chunk| {
-                chunk
-                    .iter()
-                    .map(|&(i, j)| SerializedPair {
-                        left: left.shared_text(i),
-                        right: right.shared_text(j),
-                    })
-                    .collect::<Vec<_>>()
-            })?
-            .into_iter()
-            .flatten()
-            .collect();
-            (Arc::new(pairs), Arc::new(serialized))
-        };
+        // Serialized views of the stores' pre-rendered texts: each pair is
+        // two reference-count bumps, never a string copy.
+        let chunks: Vec<&[CandidatePair]> = candidates.pairs().chunks(PAIR_CHUNK).collect();
+        let serialized: Vec<SerializedPair> = run_chunks(&chunks, |chunk| {
+            chunk
+                .iter()
+                .map(|&(i, j)| SerializedPair {
+                    left: left.shared_text(i),
+                    right: right.shared_text(j),
+                })
+                .collect::<Vec<_>>()
+        })?
+        .into_iter()
+        .flatten()
+        .collect();
+        let (candidates, serialized) = (Arc::new(candidates), Arc::new(serialized));
 
         self.slot = Some(BlockSlot {
             left_key,
@@ -308,10 +345,10 @@ impl ServePipeline {
             features: needed,
             left_index,
             right_index,
-            pairs: Arc::clone(&pairs),
+            candidates: Arc::clone(&candidates),
             serialized: Arc::clone(&serialized),
         });
-        Ok((pairs, serialized, full_reuse))
+        Ok((candidates, serialized, false))
     }
 
     /// Runs blocking and the cascade over two stores.
@@ -326,7 +363,7 @@ impl ServePipeline {
     /// and cache contents (`tests/pipeline_equivalence.rs`).
     pub fn run(&mut self, left: &RecordStore, right: &RecordStore) -> Result<ServeReport> {
         let t_block = std::time::Instant::now();
-        let (pairs, serialized, blocking_reused) = {
+        let (candidates, serialized, blocking_reused) = {
             let _span = em_obs::span!(
                 "serve.blocking",
                 left = left.len(),
@@ -343,9 +380,9 @@ impl ServePipeline {
             .rotate_left(1)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ right.serializer_fingerprint();
-        em_obs::metrics::counter("serve.candidates").add(pairs.len() as u64);
-        let rr = reduction_ratio(pairs.len(), left.len(), right.len());
-        let pairs_slice: &[CandidatePair] = &pairs;
+        let pairs_slice: &[CandidatePair] = candidates.pairs();
+        em_obs::metrics::counter("serve.candidates").add(pairs_slice.len() as u64);
+        let rr = reduction_ratio(pairs_slice.len(), left.len(), right.len());
         let serialized_slice: &[SerializedPair] = &serialized;
 
         let (reports, scores) = match self.config.executor {

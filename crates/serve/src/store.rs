@@ -22,8 +22,11 @@ fn fresh_store_id() -> u64 {
 /// `generation` counter bumped on every mutation. `(store_id, generation)`
 /// keys the pipeline's persistent blocking state — warm runs over an
 /// unchanged store skip tokenization, index construction, and the probe
-/// entirely, and any [`append`](RecordStore::append) invalidates exactly
-/// the stale side.
+/// entirely. The only mutation is [`append`](RecordStore::append), so a
+/// store seen again under its `store_id` at a later generation holds the
+/// records seen before as a prefix: the pipeline extends that side's
+/// index with the appended records and resumes the probe instead of
+/// rebuilding.
 #[derive(Debug)]
 pub struct RecordStore {
     records: Vec<Record>,
@@ -88,7 +91,7 @@ impl RecordStore {
     }
 
     /// Appends records, rendering their texts and bumping the generation
-    /// so pipelines rebuild this side's blocking state on the next run.
+    /// so pipelines extend this side's blocking state on the next run.
     pub fn append(&mut self, records: Vec<Record>) {
         if records.is_empty() {
             return;

@@ -1,12 +1,17 @@
 //! Cascade invariants: escalation is gated exactly by the stage margin,
 //! cache hits are bitwise-stable, deep-stage failures degrade instead of
-//! aborting, and the assembled pipeline works end to end on generated
-//! relations.
+//! aborting, incremental blocking over appends is bitwise a cold build,
+//! and the assembled pipeline works end to end on generated relations.
 
-use em_blocking::{full_cross_product, pair_set, Blocker, CandidatePair, TokenBlocker};
+use em_blocking::{
+    full_cross_product, pair_set, Blocker, CandidatePair, CandidateSet, IndexConfig,
+    QGramBlocker, RelationIndex, SortedNeighbourhood, TokenBlocker,
+};
 use em_core::{AttrValue, EmError, EvalBatch, LodoSplit, Matcher, Record, Result};
 use em_matchers::StringSim;
-use em_serve::{Executor, RecordStore, ScoreCache, ServeConfig, ServePipeline, Stage};
+use em_serve::{
+    Executor, RecordStore, ScoreCache, ServeConfig, ServePipeline, ServeReport, Stage,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -625,4 +630,250 @@ fn degraded_scores_are_never_cached() {
             );
         }
     }
+}
+
+/// What a [`Recording`] blocker saw: per probe, the prior extent
+/// `(left_len, right_len)` the pipeline resumed from — `(0, 0)` is a cold
+/// probe — and how often it fell back to `candidates_indexed`.
+#[derive(Default)]
+struct Log {
+    priors: Vec<(usize, usize)>,
+    cold_fallbacks: usize,
+}
+
+/// Delegates to a real blocker and records every probe in a [`Log`].
+struct Recording {
+    inner: Box<dyn Blocker>,
+    log: Arc<Mutex<Log>>,
+}
+
+impl Recording {
+    fn new(inner: Box<dyn Blocker>) -> (Self, Arc<Mutex<Log>>) {
+        let log = Arc::new(Mutex::new(Log::default()));
+        (
+            Recording {
+                inner,
+                log: log.clone(),
+            },
+            log,
+        )
+    }
+}
+
+impl Blocker for Recording {
+    fn required_features(&self) -> IndexConfig {
+        self.inner.required_features()
+    }
+    fn candidates_indexed(
+        &self,
+        left: &RelationIndex,
+        right: &RelationIndex,
+    ) -> Vec<CandidatePair> {
+        self.log.lock().unwrap().cold_fallbacks += 1;
+        self.inner.candidates_indexed(left, right)
+    }
+    fn candidates_grown(
+        &self,
+        left: &RelationIndex,
+        right: &RelationIndex,
+        prior: &CandidateSet,
+    ) -> Option<CandidateSet> {
+        self.log
+            .lock()
+            .unwrap()
+            .priors
+            .push((prior.left_len(), prior.right_len()));
+        self.inner.candidates_grown(left, right, prior)
+    }
+}
+
+/// A two-stage priced StringSim cascade (so escalations, tokens and bills
+/// are all exercised) over `blocker`.
+fn growth_pipeline(blocker: Box<dyn Blocker>, executor: Executor) -> ServePipeline {
+    ServePipeline::new(
+        blocker,
+        vec![
+            Stage::new("strsim", Box::new(StringSim::new()))
+                .with_margin(0.6)
+                .priced(0.001),
+            Stage::new(
+                "strsim-strict",
+                Box::new(StringSim::with_threshold(0.55).unwrap()),
+            )
+            .priced(0.01),
+        ],
+    )
+    .unwrap()
+    .with_config(ServeConfig {
+        executor,
+        ..ServeConfig::default()
+    })
+}
+
+/// Everything a report decides, bitwise: pairs, score bits, matches and
+/// every stage report except its wall-clock seconds.
+fn decided(r: &ServeReport) -> String {
+    let stages: Vec<String> = r
+        .stages
+        .iter()
+        .map(|s| {
+            let mut s = s.clone();
+            s.seconds = 0.0;
+            format!("{s:?}")
+        })
+        .collect();
+    let bits: Vec<u32> = r.scores.iter().map(|s| s.to_bits()).collect();
+    format!(
+        "{} {:?} {:?} {:?} {:?}",
+        r.candidates, r.pairs, bits, r.matches, stages
+    )
+}
+
+/// The append schedule of the growth tests: `(left, right)` records added
+/// per step, over relations of 240 × 260 records starting at 150 × 100.
+const GROWTH_STEPS: [(usize, usize); 6] = [(0, 40), (0, 1), (30, 0), (20, 40), (0, 0), (40, 79)];
+
+#[test]
+fn long_lived_pipeline_over_appends_equals_cold_builds() {
+    let rels = em_datagen::serve_relations(240, 260, 0.3, 11);
+    let blockers: [(&str, fn() -> Box<dyn Blocker>); 3] = [
+        ("token-serving", || {
+            Box::new(TokenBlocker {
+                min_shared: 2,
+                max_token_frequency: 0.05,
+            })
+        }),
+        ("token-loose", || {
+            Box::new(TokenBlocker {
+                min_shared: 2,
+                max_token_frequency: 0.2,
+            })
+        }),
+        ("qgram-strict", || {
+            Box::new(QGramBlocker {
+                q: 3,
+                min_shared: 8,
+                max_gram_frequency: 0.1,
+            })
+        }),
+    ];
+    for (name, blocker) in blockers {
+        for executor in [Executor::Barrier, Executor::Pipelined] {
+            let (recording, log) = Recording::new(blocker());
+            let mut long = growth_pipeline(Box::new(recording), executor);
+            // The twin sees the same history but drops its blocking state
+            // before every run, so it always builds and probes cold.
+            let mut twin = growth_pipeline(blocker(), executor);
+            let mut left = RecordStore::new(rels.left[..150].to_vec());
+            let mut right = RecordStore::new(rels.right[..100].to_vec());
+            let mut last = long.run(&left, &right).unwrap();
+            twin.run(&left, &right).unwrap();
+            for (add_left, add_right) in GROWTH_STEPS {
+                left.append(rels.left[left.len()..left.len() + add_left].to_vec());
+                right.append(rels.right[right.len()..right.len() + add_right].to_vec());
+                last = long.run(&left, &right).unwrap();
+                assert_eq!(last.blocking_reused, add_left + add_right == 0);
+                twin.invalidate_blocking();
+                let cold = twin.run(&left, &right).unwrap();
+                assert_eq!(
+                    decided(&last),
+                    decided(&cold),
+                    "{name} {executor:?}: incremental run diverged at {}×{}",
+                    left.len(),
+                    right.len()
+                );
+                assert_eq!(
+                    long.cache().entries(),
+                    twin.cache().entries(),
+                    "{name} {executor:?}"
+                );
+            }
+            assert_eq!((left.len(), right.len()), (240, 260));
+            let resumed = log
+                .lock()
+                .unwrap()
+                .priors
+                .iter()
+                .filter(|p| **p != (0, 0))
+                .count();
+            assert_eq!(
+                resumed,
+                GROWTH_STEPS.len() - 1,
+                "{name} {executor:?}: every grown run but the unchanged one must resume"
+            );
+
+            // A fresh pipeline on the final stores decides exactly the same.
+            let fresh = growth_pipeline(blocker(), executor)
+                .run(&left, &right)
+                .unwrap();
+            assert_eq!(last.pairs, fresh.pairs, "{name} {executor:?}");
+            assert_eq!(last.matches, fresh.matches, "{name} {executor:?}");
+            let bits = |r: &ServeReport| r.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&last), bits(&fresh), "{name} {executor:?}");
+        }
+    }
+}
+
+#[test]
+fn sorted_neighbourhood_pipeline_falls_back_to_cold_probes() {
+    let rels = em_datagen::serve_relations(120, 120, 0.3, 5);
+    for executor in [Executor::Barrier, Executor::Pipelined] {
+        let sn = || Box::new(SortedNeighbourhood { window: 6 });
+        let (recording, log) = Recording::new(sn());
+        let mut pipe = growth_pipeline(Box::new(recording), executor);
+        let left = RecordStore::new(rels.left.clone());
+        let mut right = RecordStore::new(rels.right[..60].to_vec());
+        pipe.run(&left, &right).unwrap();
+        for step in 1..=3 {
+            right.append(rels.right[right.len()..60 + 20 * step].to_vec());
+            let grown = pipe.run(&left, &right).unwrap();
+            assert_eq!(log.lock().unwrap().cold_fallbacks, step + 1, "{executor:?}");
+            let fresh = growth_pipeline(sn(), executor).run(&left, &right).unwrap();
+            assert_eq!(grown.pairs, fresh.pairs, "{executor:?} at step {step}");
+            assert_eq!(grown.matches, fresh.matches, "{executor:?} at step {step}");
+            for (a, b) in grown.scores.iter().zip(&fresh.scores) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{executor:?} at step {step}");
+            }
+        }
+    }
+}
+
+#[test]
+fn appends_into_a_clone_never_resume() {
+    let rels = em_datagen::serve_relations(80, 90, 0.3, 9);
+    let blocker = TokenBlocker {
+        min_shared: 1,
+        max_token_frequency: 0.2,
+    };
+    let (recording, log) = Recording::new(Box::new(blocker));
+    let mut pipe = growth_pipeline(Box::new(recording), Executor::Barrier);
+    let left = RecordStore::new(rels.left.clone());
+    let mut right = RecordStore::new(rels.right[..60].to_vec());
+    pipe.run(&left, &right).unwrap();
+
+    // The clone holds the same 60 records, but it is another store: its
+    // appends must not be mistaken for growth of the original.
+    let mut clone = right.clone();
+    clone.append(rels.right[60..75].to_vec());
+    let on_clone = pipe.run(&left, &clone).unwrap();
+    // Nor is the original, grown afterwards, growth of the clone.
+    right.append(rels.right[60..90].to_vec());
+    let on_original = pipe.run(&left, &right).unwrap();
+    assert_eq!(
+        log.lock().unwrap().priors,
+        vec![(0, 0); 3],
+        "only cold probes: no run may resume across store identities"
+    );
+    for (store, got) in [(&clone, &on_clone), (&right, &on_original)] {
+        let fresh = growth_pipeline(Box::new(blocker), Executor::Barrier)
+            .run(&left, store)
+            .unwrap();
+        assert_eq!(got.pairs, fresh.pairs);
+        assert_eq!(got.matches, fresh.matches);
+    }
+
+    // Growth of the store the pipeline last served does resume.
+    right.append(rels.right[..5].to_vec());
+    pipe.run(&left, &right).unwrap();
+    assert_eq!(log.lock().unwrap().priors.last(), Some(&(80, 90)));
 }

@@ -125,11 +125,13 @@ echo "drift drill smoke: wrote $drift_smoke"
 # Portable-kernel gate: the em-nn suite rebuilt with AVX-512 switched off,
 # so the non-AVX-512 side of every `cfg`-gated kernel (fast f32 GEMM,
 # fast softmax, GELU and LayerNorm, int8 qgemm and its dequantize
-# epilogue) compiles and passes too. Its own target dir keeps the native
-# build's artifacts.
+# epilogue) compiles and passes too — together with the em-lm and
+# em-serve suites, whose encoder and int8-serve equivalence tests run on
+# top of those kernels. Its own target dir keeps the native build's
+# artifacts.
 CARGO_TARGET_DIR=target/portable \
     RUSTFLAGS="-C target-cpu=native -C target-feature=-avx512f,-avx512vnni" \
-    cargo test --release -q -p em-nn
+    cargo test --release -q -p em-nn -p em-lm -p em-serve
 
 # Repository benchmark tests (perfbench/README.md): BENCHMARK.json
 # matches the metrics the program prints, and a scaled-down instance of
