@@ -16,12 +16,10 @@
 //! relations instance, so the serving relations stay unseen.
 //!
 //! The cascade's SLM tier runs the serve inference fast path: int8 GEMMs
-//! plus length-bucketed batching, scheduled by the pipelined micro-batch
-//! executor. Asserted before anything is reported:
+//! plus length-bucketed batching, its buckets scored in parallel. Stages
+//! run one after another, so each stage's wall-clock is its own compute.
+//! Asserted before anything is reported:
 //!
-//! * the pipelined executor reproduces the barrier executor **bitwise**
-//!   (scores, matches, per-stage counts and bills) — parity is proven on
-//!   this very workload before either schedule's timing is reported;
 //! * the warm (second) run answers 100% from the score cache with
 //!   bitwise-identical scores and zero billed tokens;
 //! * the cascade costs **less** than running the fine-tuned SLM over every
@@ -45,9 +43,7 @@ use em_lm::zoo::{pretrain_tier, PretrainCorpus};
 use em_lm::{predict_proba, train, InferencePrecision, TrainConfig};
 use em_matchers::{DemoStrategy, MatchGpt, StringSim};
 use em_nn::threadpool;
-use em_serve::{
-    Executor, FrozenSlm, RecordStore, ServeConfig, ServePipeline, ServeReport, Stage,
-};
+use em_serve::{FrozenSlm, RecordStore, ServePipeline, ServeReport, Stage};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -217,37 +213,6 @@ fn print_stages(label: &str, report: &ServeReport) {
     }
 }
 
-/// Bitwise parity between two cold runs of the same cascade under
-/// different executors: scores, matches, and every per-stage count and
-/// bill must agree exactly — only `seconds` may differ (the pipelined
-/// executor reports busy time). Asserted *before* any timing is reported
-/// so the speed claims are claims about the same computation.
-fn assert_executor_parity(barrier: &ServeReport, pipelined: &ServeReport) {
-    assert_eq!(barrier.candidates, pipelined.candidates);
-    assert_eq!(barrier.scores.len(), pipelined.scores.len());
-    for (i, (a, b)) in barrier.scores.iter().zip(&pipelined.scores).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "executor parity: score {i} diverged"
-        );
-    }
-    assert_eq!(barrier.matches, pipelined.matches);
-    assert_eq!(barrier.stages.len(), pipelined.stages.len());
-    for (a, b) in barrier.stages.iter().zip(&pipelined.stages) {
-        assert_eq!(a.scored, b.scored, "{}: scored diverged", a.name);
-        assert_eq!(a.cache_hits, b.cache_hits, "{}: hits diverged", a.name);
-        assert_eq!(a.escalated, b.escalated, "{}: escalation diverged", a.name);
-        assert_eq!(a.tokens, b.tokens, "{}: billed tokens diverged", a.name);
-        assert_eq!(
-            a.bill.usd_total().to_bits(),
-            b.bill.usd_total().to_bits(),
-            "{}: bill diverged",
-            a.name
-        );
-    }
-}
-
 fn run(n: usize, out_path: &str, smoke: bool) {
     // --- Workload: the serving relations stay unseen by every stage. ----
     let t_gen = Instant::now();
@@ -300,43 +265,16 @@ fn run(n: usize, out_path: &str, smoke: bool) {
         ]
     };
 
-    // --- Executor A/B: the same cascade under the barrier schedule, on a
-    // fresh pipeline, proves the pipelined executor is timing an identical
-    // computation before any speed numbers are reported.
-    let mut barrier_pipe = ServePipeline::new(Box::new(serve_blocker()), cascade_stages())
-        .unwrap()
-        .with_config(ServeConfig {
-            executor: Executor::Barrier,
-            ..ServeConfig::default()
-        });
-    let tb = Instant::now();
-    let barrier = barrier_pipe.run(&left, &right).unwrap();
-    let barrier_seconds = tb.elapsed().as_secs_f64();
-    drop(barrier_pipe);
-
-    // --- Cascade (pipelined, the default): cold, then warm from the
-    // score cache. -------------------------------------------------------
+    // --- Cascade: cold, then warm from the score cache. -----------------
     let mut pipe = ServePipeline::new(Box::new(serve_blocker()), cascade_stages()).unwrap();
     let t0 = Instant::now();
     let cold = pipe.run(&left, &right).unwrap();
     let cold_seconds = t0.elapsed().as_secs_f64();
-    assert_executor_parity(&barrier, &cold);
+    let slm_pairs_per_sec = cold.stages.get(1).map_or(0.0, |s| s.pairs_per_sec());
     println!(
-        "executor A/B: barrier {barrier_seconds:.2}s vs pipelined {cold_seconds:.2}s cold (bitwise-identical results)"
+        "slm stage: {} pairs at {slm_pairs_per_sec:.0} pairs/s",
+        cold.stages.get(1).map_or(0, |s| s.pairs_in)
     );
-    // Stage throughput is read off the barrier schedule: stages run one at
-    // a time there, so a stage's wall-clock is its own compute. Under the
-    // pipelined schedule a stage's wall-clock also absorbs time-slices
-    // stolen by concurrently-running neighbour stages (this host is a
-    // single core), which under-reports throughput; the overlap win shows
-    // up in the A/B cold-run comparison instead. Parity above guarantees
-    // both schedules timed the identical computation.
-    let slm_pairs_per_sec = barrier.stages.get(1).map_or(0.0, |s| s.pairs_per_sec());
-    println!(
-        "slm stage (barrier schedule): {} pairs at {slm_pairs_per_sec:.0} pairs/s",
-        barrier.stages.get(1).map_or(0, |s| s.pairs_in)
-    );
-    drop(barrier);
     let t1 = Instant::now();
     let warm = pipe.run(&left, &right).unwrap();
     let warm_seconds = t1.elapsed().as_secs_f64();
@@ -455,14 +393,13 @@ fn run(n: usize, out_path: &str, smoke: bool) {
     // Process-cumulative fast-path counters (every run in this bench adds
     // to them); nonzero proves the bucketed collation actually engaged.
     let pad_saved = em_obs::metrics::counter("serve.bucket_pad_saved").get();
-    let overlap_busy = em_obs::metrics::counter("serve.overlap_busy").get();
     let flip_json = if int8_flip_rate.is_nan() {
         "null".to_string()
     } else {
         format!("{int8_flip_rate:.6}")
     };
     let json = format!(
-        "{{\n  \"workload\": \"serving pipeline (blocking -> confidence-gated cascade) on serve_relations\",\n  \"shape\": {{ \"n_left\": {n}, \"n_right\": {n}, \"match_fraction\": 0.3, \"truth_pairs\": {}, \"seed\": 7 }},\n  \"threads\": {},\n  \"blocking\": {{ \"candidates\": {}, \"reduction_ratio\": {:.6}, \"recall\": {:.4}, \"seconds\": {:.3} }},\n  \"fast_path\": {{ \"slm_precision\": \"int8\", \"slm_pairs_per_sec\": {:.0}, \"bucket_pad_saved_tokens\": {pad_saved}, \"overlap_busy_transitions\": {overlap_busy}, \"int8_flip_rate_vs_f32\": {flip_json} }},\n  \"executor_ab\": {{ \"barrier_cold_seconds\": {barrier_seconds:.3}, \"pipelined_cold_seconds\": {cold_seconds:.3}, \"parity_bitwise\": true }},\n  \"cascade_cold\": {{ \"seconds\": {:.3}, \"usd\": {:.6}, \"precision\": {:.4}, \"recall\": {:.4}, \"f1\": {:.4}, \"stages\": [\n    {}\n  ] }},\n  \"cascade_warm\": {{ \"seconds\": {:.3}, \"cache_hit_rate\": 1.0, \"scores_bitwise_equal_cold\": true, \"blocking_reused\": true, \"speedup_vs_cold\": {:.1}, \"usd\": {:.6} }},\n  \"baseline_slm_on_all\": {{ \"seconds\": {:.3}, \"usd\": {:.6}, \"precision\": {:.4}, \"recall\": {:.4}, \"f1\": {:.4}, \"stages\": [\n    {}\n  ] }},\n  \"prices_usd_per_1k\": {{ \"strsim\": 0.0, \"slm_self_host\": {:.6}, \"gpt4\": {:.6} }},\n  \"cascade_cost_saving_vs_baseline\": {:.4},\n  \"cascade_f1_minus_baseline_f1\": {:.4}\n}}\n",
+        "{{\n  \"workload\": \"serving pipeline (blocking -> confidence-gated cascade) on serve_relations\",\n  \"shape\": {{ \"n_left\": {n}, \"n_right\": {n}, \"match_fraction\": 0.3, \"truth_pairs\": {}, \"seed\": 7 }},\n  \"threads\": {},\n  \"blocking\": {{ \"candidates\": {}, \"reduction_ratio\": {:.6}, \"recall\": {:.4}, \"seconds\": {:.3} }},\n  \"fast_path\": {{ \"slm_precision\": \"int8\", \"slm_pairs_per_sec\": {:.0}, \"bucket_pad_saved_tokens\": {pad_saved}, \"int8_flip_rate_vs_f32\": {flip_json} }},\n  \"cascade_cold\": {{ \"seconds\": {:.3}, \"usd\": {:.6}, \"precision\": {:.4}, \"recall\": {:.4}, \"f1\": {:.4}, \"stages\": [\n    {}\n  ] }},\n  \"cascade_warm\": {{ \"seconds\": {:.3}, \"cache_hit_rate\": 1.0, \"scores_bitwise_equal_cold\": true, \"blocking_reused\": true, \"speedup_vs_cold\": {:.1}, \"usd\": {:.6} }},\n  \"baseline_slm_on_all\": {{ \"seconds\": {:.3}, \"usd\": {:.6}, \"precision\": {:.4}, \"recall\": {:.4}, \"f1\": {:.4}, \"stages\": [\n    {}\n  ] }},\n  \"prices_usd_per_1k\": {{ \"strsim\": 0.0, \"slm_self_host\": {:.6}, \"gpt4\": {:.6} }},\n  \"cascade_cost_saving_vs_baseline\": {:.4},\n  \"cascade_f1_minus_baseline_f1\": {:.4}\n}}\n",
         truth.len(),
         threads_json(),
         cold.candidates,

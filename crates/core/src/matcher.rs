@@ -85,10 +85,13 @@ pub trait Matcher: Send {
         false
     }
 
-    /// `true` if the most recent [`Matcher::predict`] call served degraded
-    /// predictions — e.g. a hosted-LLM matcher whose circuit breaker was
-    /// open fell back to its registered string-similarity tier. Reset by
-    /// [`Matcher::fit`]. Matchers without a degraded mode keep the default.
+    /// `true` if the most recent [`Matcher::predict`] /
+    /// [`Matcher::predict_scores`] call served degraded predictions — e.g.
+    /// a hosted-LLM matcher whose circuit breaker was open fell back to its
+    /// registered string-similarity tier. Every call (and
+    /// [`Matcher::fit`]) resets it, so a caller scoring in several batches
+    /// reads it after each. Matchers without a degraded mode keep the
+    /// default.
     fn was_degraded(&self) -> bool {
         false
     }

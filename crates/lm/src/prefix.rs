@@ -57,16 +57,16 @@ impl PrefixVariant {
     }
 
     /// The model-encoded prefix, computed on first use. The boolean is
-    /// `true` when the state was already cached (feeds `lm.prefix_hits`).
+    /// `true` unless this call ran the encode (feeds `lm.prefix_hits`):
+    /// of any number of callers racing on first use, exactly one sees a
+    /// miss, so the hit counters do not depend on scheduling.
     pub fn state(&self, model: &EncoderClassifier) -> (&PrefixState, bool) {
-        if let Some(s) = self.state.get() {
-            return (s, true);
-        }
-        (
-            self.state
-                .get_or_init(|| model.encode_prefix(&self.ids, &self.segments, &self.overlap)),
-            false,
-        )
+        let mut encoded = false;
+        let state = self.state.get_or_init(|| {
+            encoded = true;
+            model.encode_prefix(&self.ids, &self.segments, &self.overlap)
+        });
+        (state, !encoded)
     }
 }
 
@@ -370,6 +370,46 @@ mod tests {
         assert!(long > short, "longer queries must drop more demos");
         assert!(Arc::ptr_eq(&cache.variant(short), &cache.variant(short)));
         assert!(!Arc::ptr_eq(&cache.variant(short), &cache.variant(long)));
+    }
+
+    #[test]
+    fn racing_first_use_reports_exactly_one_miss() {
+        let tok = HashTokenizer::new(512);
+        let model = EncoderClassifier::new(
+            crate::ModelConfig {
+                vocab: 512,
+                d_model: 16,
+                n_layers: 1,
+                n_heads: 2,
+                ff_mult: 2,
+                max_seq: 32,
+                dropout: 0.0,
+                claimed_params_millions: 0.1,
+            },
+            1,
+        );
+        let demos = vec![demo("alpha beta", "alpha beta", true)];
+        let budget = PromptBudget {
+            max_seq: 32,
+            demo_side: 5,
+            query_side: 10,
+        };
+        let variant = PrefixCache::new(&tok, &demos, budget).variant(0);
+        let threads = 8;
+        let start = std::sync::Barrier::new(threads);
+        let misses = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    start.wait();
+                    if !variant.state(&model).1 {
+                        misses.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        assert_eq!(misses.into_inner(), 1, "only the encoding caller misses");
+        assert!(variant.state(&model).1, "later callers hit");
     }
 
     #[test]

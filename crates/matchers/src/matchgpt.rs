@@ -184,6 +184,17 @@ impl Matcher for MatchGpt {
     }
 
     fn predict(&mut self, batch: &EvalBatch) -> Result<Vec<bool>> {
+        Ok(self
+            .predict_scores(batch)?
+            .into_iter()
+            .map(|s| s >= 0.5)
+            .collect())
+    }
+
+    fn predict_scores(&mut self, batch: &EvalBatch) -> Result<Vec<f32>> {
+        // The flag describes this call only: a recovered backend must not
+        // keep reporting an earlier call's fallback.
+        self.degraded = false;
         if batch.is_empty() {
             return Ok(Vec::new());
         }
@@ -193,42 +204,8 @@ impl Matcher for MatchGpt {
                 Err(e) => {
                     // The hosted backend is unreachable even after
                     // retries: degrade to the registered fallback matcher
-                    // rather than failing the evaluation item.
-                    let fallback = self
-                        .fallback
-                        .as_mut()
-                        .expect("with_resilience always registers a fallback");
-                    em_obs::metrics::counter("faults.degraded").add(1);
-                    em_obs::event!(
-                        warn,
-                        "hosted.degraded",
-                        backend = client.backend().as_str(),
-                        fallback = fallback.name().as_str(),
-                        cause = e.kind_label()
-                    );
-                    self.degraded = true;
-                    return fallback.predict(batch);
-                }
-            },
-            None => self.llm.try_score_batch(&batch.serialized, &self.demos)?,
-        };
-        if scores.len() != batch.len() {
-            return Err(EmError::Numeric("score batch size mismatch".into()));
-        }
-        Ok(scores.into_iter().map(|s| s >= 0.5).collect())
-    }
-
-    fn predict_scores(&mut self, batch: &EvalBatch) -> Result<Vec<f32>> {
-        if batch.is_empty() {
-            return Ok(Vec::new());
-        }
-        let scores = match &self.resilient {
-            Some(client) => match client.score_batch(&batch.serialized, &self.demos) {
-                Ok(scores) => scores,
-                Err(e) => {
-                    // Same degradation contract as `predict`: the fallback
-                    // matcher answers (with its own score surface) and the
-                    // round is flagged degraded.
+                    // (with its own score surface) rather than failing
+                    // the evaluation item, and flag the call degraded.
                     let fallback = self
                         .fallback
                         .as_mut()
@@ -461,6 +438,29 @@ mod tests {
         assert!(m.was_degraded());
         m.fit(&split, 0).unwrap();
         assert!(!m.was_degraded(), "fit must clear the sticky degraded flag");
+    }
+
+    #[test]
+    fn degraded_flag_describes_only_the_latest_call() {
+        let llm = tiny_llm();
+        let mut m = MatchGpt::with_resilience(
+            llm,
+            DemoStrategy::None,
+            None,
+            Box::new(crate::string_sim::StringSim::new()),
+        );
+        let client = m.resilient().unwrap();
+        client.breaker().force_open(client.clock().now_ns());
+        m.predict_scores(&small_batch()).unwrap();
+        assert!(m.was_degraded());
+        // Past the breaker's cooldown the half-open probe succeeds.
+        let client = m.resilient().unwrap();
+        client.clock().advance_ms(60_000);
+        m.predict(&small_batch()).unwrap();
+        assert!(
+            !m.was_degraded(),
+            "a recovered call must not report degradation"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! algorithm behind Python's `difflib` — exceeds 0.5 (Section 4.1,
 //! "Parameter-free baselines").
 
-use em_core::{EmError, EvalBatch, LodoSplit, Matcher, Result};
+use em_core::{run_chunks, EmError, EvalBatch, LodoSplit, Matcher, Result, SerializedPair};
 use em_text::ratcliff_obershelp;
 
 /// Parameter-free string-similarity matcher.
@@ -36,6 +36,33 @@ impl Default for StringSim {
     }
 }
 
+/// Pairs scored per parallel work item.
+const SIM_CHUNK: usize = 64;
+
+impl StringSim {
+    /// Maps every pair's similarity through `f`, fanning the batch out in
+    /// [`SIM_CHUNK`]-pair chunks over the shared threadpool; chunk-order
+    /// merge keeps input order, so the result is the per-pair map at any
+    /// thread count.
+    fn map_sims<R: Send>(&self, batch: &EvalBatch, f: impl Fn(f64) -> R + Sync) -> Result<Vec<R>> {
+        let chunks: Vec<&[SerializedPair]> = batch.serialized.chunks(SIM_CHUNK).collect();
+        Ok(run_chunks(&chunks, |chunk| {
+            chunk
+                .iter()
+                .map(|p| {
+                    f(ratcliff_obershelp(
+                        &p.left.to_lowercase(),
+                        &p.right.to_lowercase(),
+                    ))
+                })
+                .collect::<Vec<R>>()
+        })?
+        .into_iter()
+        .flatten()
+        .collect())
+    }
+}
+
 impl Matcher for StringSim {
     fn name(&self) -> String {
         "StringSim".into()
@@ -46,13 +73,8 @@ impl Matcher for StringSim {
     }
 
     fn predict(&mut self, batch: &EvalBatch) -> Result<Vec<bool>> {
-        Ok(batch
-            .serialized
-            .iter()
-            .map(|p| {
-                ratcliff_obershelp(&p.left.to_lowercase(), &p.right.to_lowercase()) > self.threshold
-            })
-            .collect())
+        let t = self.threshold;
+        self.map_sims(batch, |sim| sim > t)
     }
 
     fn predict_scores(&mut self, batch: &EvalBatch) -> Result<Vec<f32>> {
@@ -64,34 +86,29 @@ impl Matcher for StringSim {
         // exact for every threshold while |2s − 1| grows with the margin.
         let below_half = f32::from_bits(0.5f32.to_bits() - 1);
         let t = self.threshold;
-        Ok(batch
-            .serialized
-            .iter()
-            .map(|p| {
-                let sim = ratcliff_obershelp(&p.left.to_lowercase(), &p.right.to_lowercase());
-                if sim <= t {
-                    if t <= 0.0 {
-                        // threshold 0: only sim == 0 lands here, and
-                        // predict says non-match (strict greater).
-                        0.0
-                    } else {
-                        ((0.5 * sim / t) as f32).min(below_half)
-                    }
-                } else if t >= 1.0 {
-                    // unreachable (sim ≤ 1 ≤ t), kept for totality
-                    1.0
+        self.map_sims(batch, |sim| {
+            if sim <= t {
+                if t <= 0.0 {
+                    // threshold 0: only sim == 0 lands here, and
+                    // predict says non-match (strict greater).
+                    0.0
                 } else {
-                    ((0.5 + 0.5 * (sim - t) / (1.0 - t)) as f32).max(0.5)
+                    ((0.5 * sim / t) as f32).min(below_half)
                 }
-            })
-            .collect())
+            } else if t >= 1.0 {
+                // unreachable (sim ≤ 1 ≤ t), kept for totality
+                1.0
+            } else {
+                ((0.5 + 0.5 * (sim - t) / (1.0 - t)) as f32).max(0.5)
+            }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use em_core::{Record, RecordPair, SerializedPair};
+    use em_core::{Record, RecordPair};
 
     fn batch(pairs: Vec<(&str, &str)>) -> EvalBatch {
         EvalBatch {
@@ -171,6 +188,37 @@ mod tests {
             for (p, s) in preds.iter().zip(&scores) {
                 assert!((0.0..=1.0).contains(s));
                 assert_eq!(*p, *s >= 0.5, "t={threshold}: pred {p} vs score {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_batches_equal_per_pair_scoring_at_any_thread_count() {
+        let owned: Vec<(String, String)> = (0..150)
+            .map(|i| (format!("sony tv x{i}"), format!("sony tv x{}", i * 7 % 150)))
+            .chain([("ab".into(), "bc".into()), ("aaaa".into(), "zzzz".into())])
+            .collect();
+        let b = batch(
+            owned
+                .iter()
+                .map(|(l, r)| (l.as_str(), r.as_str()))
+                .collect(),
+        );
+        for threshold in [0.0, 0.5, 1.0] {
+            let mut m = StringSim::with_threshold(threshold).unwrap();
+            let per_pair: Vec<u32> = owned
+                .iter()
+                .map(|(l, r)| m.predict_scores(&batch(vec![(l, r)])).unwrap()[0].to_bits())
+                .collect();
+            for threads in [1, 2, 8] {
+                em_nn::threadpool::set_max_threads(Some(threads));
+                let scores = m.predict_scores(&b).unwrap();
+                let preds = m.predict(&b).unwrap();
+                em_nn::threadpool::set_max_threads(None);
+                let bits: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
+                assert_eq!(bits, per_pair, "t={threshold}, {threads} threads");
+                let want: Vec<bool> = scores.iter().map(|&s| s >= 0.5).collect();
+                assert_eq!(preds, want, "t={threshold}, {threads} threads");
             }
         }
     }

@@ -223,7 +223,6 @@ fn masked_softmax_row_scaled(row: &mut [f32], mask: &[bool], scale: f32) {
 /// range, so the AVX-512 and portable builds share semantics). Serves as
 /// the portable fallback and the over-long-row escape hatch of
 /// [`fast_softmax::item`].
-#[allow(dead_code)]
 fn masked_softmax_row_fast_scalar(row: &mut [f32], mask: &[bool], scale: f32) {
     let mut m = f32::NEG_INFINITY;
     for (v, &keep) in row.iter_mut().zip(mask) {
@@ -567,7 +566,7 @@ where
 /// threadpool budget; items write disjoint slices and each per-element
 /// reduction is serial, so output is bitwise identical at any worker
 /// count. `fast` selects the vectorized-exp softmax (Int8 inference only;
-/// see [`masked_softmax_row_scaled_fast`]).
+/// see [`fast_softmax::item`]).
 #[allow(clippy::too_many_arguments)]
 fn attend_packed(
     batch: usize,

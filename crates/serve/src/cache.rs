@@ -92,7 +92,7 @@ impl ScoreCache {
 
     /// Snapshot of every cached entry as `(key, score_bits)`, sorted by
     /// key — for equivalence suites comparing two caches' full contents
-    /// bitwise (e.g. pipelined vs barrier execution).
+    /// bitwise (e.g. runs at different thread counts).
     pub fn entries(&self) -> Vec<((u64, u32, u64, u64), u32)> {
         let mut v: Vec<_> = self.map.iter().map(|(&k, &s)| (k, s.to_bits())).collect();
         v.sort_unstable();

@@ -12,7 +12,9 @@
 //!    cheap-first — StringSim, then a frozen fine-tuned SLM
 //!    ([`FrozenSlm`]), then a hosted LLM behind the resilient client —
 //!    escalating only pairs whose confidence `|2s − 1|` is below the
-//!    stage margin;
+//!    stage margin. Each stage finishes before the next starts; the
+//!    threads work inside a stage (chunked StringSim, parallel SLM
+//!    length buckets), so results never depend on the thread count;
 //! 4. a pair-keyed, stage-scoped [`ScoreCache`] makes revisits free and
 //!    bitwise-stable;
 //! 5. [`em_cost`] bills each stage's scored tokens, and `serve.*` spans /
@@ -29,6 +31,6 @@ pub mod stage;
 pub mod store;
 
 pub use cache::ScoreCache;
-pub use pipeline::{Executor, ServeConfig, ServePipeline, ServeReport, StageReport};
+pub use pipeline::{ServePipeline, ServeReport, StageReport};
 pub use stage::{approx_tokens, FrozenSlm, Stage};
 pub use store::RecordStore;

@@ -8,48 +8,11 @@ use em_blocking::{
 };
 use em_core::{run_chunks, EmError, EvalBatch, Result, SerializedPair};
 use em_cost::estimate::{api_bill_for, ApiBill};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
-/// How the cascade schedules its stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Executor {
-    /// Stage `k` finishes its whole active set before stage `k + 1`
-    /// starts — the reference schedule the equivalence suite oracles
-    /// against.
-    Barrier,
-    /// Candidates flow through the cascade in micro-batches: stage
-    /// `k + 1` scores early escalations while stage `k` is still scoring
-    /// later micro-batches. One worker per stage over the shared
-    /// threadpool; the deterministic micro-batch-order merge keeps
-    /// scores, reports, and the ScoreCache bitwise-identical to
-    /// [`Executor::Barrier`] (pinned by `tests/pipeline_equivalence.rs`).
-    Pipelined,
-}
-
-/// Tuning knobs of the serving run.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeConfig {
-    /// Pairs per matcher call. Each call's internal parallelism (chunked
-    /// scoring over the shared threadpool) provides the thread-level
-    /// fan-out; this bounds peak memory per call.
-    pub batch_size: usize,
-    /// Pairs per pipeline micro-batch — the granularity at which
-    /// candidates flow between stages under [`Executor::Pipelined`].
-    pub micro_batch: usize,
-    /// Stage schedule.
-    pub executor: Executor,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            batch_size: 512,
-            micro_batch: 512,
-            executor: Executor::Pipelined,
-        }
-    }
-}
+/// Pairs per matcher call. Each call parallelizes internally over the
+/// shared threadpool; this bounds the memory one call holds.
+const BATCH_SIZE: usize = 512;
 
 /// Index positions handled per parallel work item in the cache probe and
 /// escalation sweeps.
@@ -212,7 +175,6 @@ pub struct ServePipeline {
     blocker: Box<dyn Blocker>,
     stages: Vec<Stage>,
     cache: ScoreCache,
-    config: ServeConfig,
     slot: Option<BlockSlot>,
 }
 
@@ -227,17 +189,8 @@ impl ServePipeline {
             blocker,
             stages,
             cache: ScoreCache::new(),
-            config: ServeConfig::default(),
             slot: None,
         })
-    }
-
-    /// Overrides the default configuration.
-    pub fn with_config(mut self, config: ServeConfig) -> Self {
-        assert!(config.batch_size > 0, "batch_size must be positive");
-        assert!(config.micro_batch > 0, "micro_batch must be positive");
-        self.config = config;
-        self
     }
 
     /// Replaces the score cache with a bounded one (FIFO eviction past
@@ -358,9 +311,13 @@ impl ServePipeline {
     /// keep the previous stage's scores, the stage is flagged in its
     /// report, and the run completes.
     ///
-    /// The configured [`Executor`] decides the schedule; both produce
-    /// bitwise-identical scores, reports (modulo per-stage `seconds`),
-    /// and cache contents (`tests/pipeline_equivalence.rs`).
+    /// Stage `k` finishes its whole active set before stage `k + 1`
+    /// starts. The parallelism lives inside each stage: the cache probe
+    /// and the escalation filter fan out in position bands, and every
+    /// matcher call fans out over the shared threadpool (StringSim in
+    /// pair chunks, the SLM across its length buckets). Scores, reports
+    /// (modulo per-stage `seconds`) and cache contents are identical at
+    /// every thread count.
     pub fn run(&mut self, left: &RecordStore, right: &RecordStore) -> Result<ServeReport> {
         let t_block = std::time::Instant::now();
         let (candidates, serialized, blocking_reused) = {
@@ -385,12 +342,7 @@ impl ServePipeline {
         let rr = reduction_ratio(pairs_slice.len(), left.len(), right.len());
         let serialized_slice: &[SerializedPair] = &serialized;
 
-        let (reports, scores) = match self.config.executor {
-            Executor::Barrier => self.run_barrier(ctx, left, right, pairs_slice, serialized_slice)?,
-            Executor::Pipelined => {
-                self.run_pipelined(ctx, left, right, pairs_slice, serialized_slice)?
-            }
-        };
+        let (reports, scores) = self.cascade(ctx, left, right, pairs_slice, serialized_slice)?;
 
         let matches: Vec<CandidatePair> = pairs_slice
             .iter()
@@ -411,9 +363,9 @@ impl ServePipeline {
         })
     }
 
-    /// The reference schedule: each stage finishes its whole active set
-    /// before the next starts.
-    fn run_barrier(
+    /// The cascade over one run's candidates: per stage, the cache probe,
+    /// the scoring of the misses, the escalation filter.
+    fn cascade(
         &mut self,
         ctx: u64,
         left: &RecordStore,
@@ -425,7 +377,6 @@ impl ServePipeline {
         let mut active: Vec<usize> = (0..pairs_slice.len()).collect();
         let mut reports: Vec<StageReport> = Vec::with_capacity(self.stages.len());
         let n_stages = self.stages.len();
-        let batch_size = self.config.batch_size;
         let cache = &mut self.cache;
 
         for (k, stage) in self.stages.iter_mut().enumerate() {
@@ -465,12 +416,15 @@ impl ServePipeline {
             // Batched scoring of the misses. Batches are sequential here
             // (the matcher needs `&mut`); each call parallelizes
             // internally over the shared threadpool.
-            let (scored_pairs, tokens, stage_err) =
-                score_misses(stage, &misses, serialized_slice, batch_size);
+            let Scoring {
+                scored: scored_pairs,
+                tokens,
+                degraded,
+                error: stage_err,
+            } = score_misses(stage, &misses, serialized_slice);
             // Degraded scores came from a fallback tier, not this stage:
             // caching them under this stage's key would replay them as
             // this stage's answers after the backend recovers.
-            let degraded = stage.matcher.was_degraded();
             for &(p, s) in &scored_pairs {
                 scores[p] = s;
                 if !degraded {
@@ -543,174 +497,6 @@ impl ServePipeline {
         }
         Ok((reports, scores))
     }
-
-    /// The pipelined executor: one worker per stage, micro-batches
-    /// flowing through channels, results buffered per micro-batch and
-    /// merged on the caller's thread.
-    ///
-    /// Why this is bitwise-identical to the barrier: within one run a
-    /// pair visits each stage at most once and cache keys carry the
-    /// stage index, so a same-run insertion can never answer a same-run
-    /// probe — probing the *pre-run* cache from every worker reproduces
-    /// the barrier's exact hit/miss sets. Workers therefore share the
-    /// cache read-only and buffer everything else; the merge applies
-    /// scores and cache insertions in canonical barrier order
-    /// (stage-major, micro-batch order, position order within each), so
-    /// the final score table, the FIFO eviction sequence of a bounded
-    /// cache, and the reports all come out bit-for-bit equal — only the
-    /// per-stage `seconds` (busy time instead of stage wall time)
-    /// differs.
-    fn run_pipelined(
-        &mut self,
-        ctx: u64,
-        left: &RecordStore,
-        right: &RecordStore,
-        pairs_slice: &[CandidatePair],
-        serialized_slice: &[SerializedPair],
-    ) -> Result<(Vec<StageReport>, Vec<f32>)> {
-        let n_stages = self.stages.len();
-        let batch_size = self.config.batch_size;
-        let cache: &ScoreCache = &self.cache;
-        let busy = AtomicUsize::new(0);
-        let overlap = em_obs::metrics::counter("serve.overlap_busy");
-        let depth_gauges: Vec<_> = self
-            .stages
-            .iter()
-            .map(|s| em_obs::metrics::gauge(&format!("serve.queue_depth.{}", s.name)))
-            .collect();
-
-        // Feed every stage-0 micro-batch up front (channels are
-        // unbounded; a micro-batch is just an index vector).
-        let (tx0, rx0) = mpsc::channel::<(usize, Vec<usize>)>();
-        for (mb, chunk) in (0..pairs_slice.len())
-            .collect::<Vec<usize>>()
-            .chunks(self.config.micro_batch)
-            .enumerate()
-        {
-            depth_gauges[0].add(1);
-            tx0.send((mb, chunk.to_vec())).expect("stage-0 queue open");
-        }
-        drop(tx0);
-
-        let mut outcomes: Vec<StageOutcome> = std::thread::scope(|scope| {
-            let mut rx_slot = Some(rx0);
-            let mut handles = Vec::with_capacity(n_stages);
-            for (k, stage) in self.stages.iter_mut().enumerate() {
-                let rx = rx_slot.take().expect("every stage has a receiver");
-                let (tx_next, rx_next) = if k + 1 < n_stages {
-                    let (t, r) = mpsc::channel::<(usize, Vec<usize>)>();
-                    (Some(t), Some(r))
-                } else {
-                    (None, None)
-                };
-                rx_slot = rx_next;
-                let worker = StageWorker {
-                    k,
-                    n_stages,
-                    ctx,
-                    cache,
-                    left,
-                    right,
-                    pairs: pairs_slice,
-                    serialized: serialized_slice,
-                    batch_size,
-                    stage,
-                    rx,
-                    tx_next,
-                    queue_gauge: Arc::clone(&depth_gauges[k]),
-                    next_gauge: depth_gauges.get(k + 1).map(Arc::clone),
-                    overlap: Arc::clone(&overlap),
-                    busy: &busy,
-                };
-                handles.push(scope.spawn(move || stage_worker(worker)));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-
-        // Deterministic merge. A deeper stage's buffered work is
-        // discarded past the shallowest errored stage, exactly like the
-        // barrier's `break` — it would never have run there.
-        let kerr = outcomes.iter().position(|o| o.error.is_some());
-        let limit = kerr.unwrap_or(n_stages - 1);
-        let mut scores = vec![0.0f32; pairs_slice.len()];
-        let mut reports: Vec<StageReport> = Vec::new();
-        for (k, outcome) in outcomes.iter().enumerate().take(limit + 1) {
-            if outcome.results.is_empty() {
-                // Nothing ever reached this stage (nor any deeper one):
-                // the barrier loop breaks on an empty active set.
-                break;
-            }
-            let errored = outcome.error.is_some();
-            let stage = &self.stages[k];
-            let mut pairs_in = 0usize;
-            let mut hits_n = 0u64;
-            let mut scored_n = 0usize;
-            let mut esc_n = 0usize;
-            let mut tokens = 0u64;
-            let mut seconds = 0.0f64;
-            for mr in &outcome.results {
-                pairs_in += mr.pairs_in;
-                hits_n += mr.hits.len() as u64;
-                esc_n += mr.escalated;
-                tokens += mr.tokens;
-                seconds += mr.seconds;
-                for &(p, s) in &mr.hits {
-                    scores[p] = s;
-                }
-                for &(p, s) in &mr.scored {
-                    scores[p] = s;
-                    // Never cache degraded scores (see `run_barrier`).
-                    if !outcome.degraded {
-                        let (i, j) = pairs_slice[p];
-                        self.cache.insert(ctx, k as u32, left.id(i), right.id(j), s);
-                    }
-                }
-                scored_n += mr.scored.len();
-            }
-            if errored {
-                // Pre-error micro-batches did escalate downstream, but
-                // that work is discarded above; the barrier reports an
-                // errored stage as escalating nothing.
-                esc_n = 0;
-            }
-            em_obs::metrics::counter("serve.cache_hits").add(hits_n);
-            em_obs::metrics::counter("serve.scored").add(scored_n as u64);
-            em_obs::metrics::counter("serve.escalated").add(esc_n as u64);
-            reports.push(StageReport {
-                name: stage.name.clone(),
-                pairs_in,
-                scored: scored_n,
-                cache_hits: hits_n as usize,
-                escalated: esc_n,
-                errored,
-                degraded: outcome.degraded,
-                seconds,
-                tokens,
-                bill: api_bill_for(tokens, 0, stage.usd_per_1k_tokens),
-            });
-        }
-        match kerr {
-            // No cheaper tier exists to answer: fatal, as in the barrier
-            // (stage-0 insertions applied above survive the same way the
-            // barrier's partial progress does).
-            Some(0) => Err(outcomes[0].error.take().expect("stage 0 errored")),
-            Some(ke) => {
-                let e = outcomes[ke].error.take().expect("stage errored");
-                em_obs::metrics::counter("serve.stage_errors").inc();
-                em_obs::event!(
-                    warn,
-                    "serve.stage_error",
-                    stage = self.stages[ke].name.as_str(),
-                    cause = format!("{e}").as_str()
-                );
-                Ok((reports, scores))
-            }
-            None => Ok((reports, scores)),
-        }
-    }
 }
 
 /// Splits one position band into cache hits and misses, preserving
@@ -736,22 +522,33 @@ fn probe_chunk(
     (hits, misses)
 }
 
-/// Scores `misses` in `batch_size` chunks through the stage's matcher.
+/// What [`score_misses`] produced for one stage.
+struct Scoring {
+    /// `(position, score)` results in miss order.
+    scored: Vec<(usize, f32)>,
+    /// The stage's exact-token bill for `scored`.
+    tokens: u64,
+    /// `true` if any matcher call served degraded scores.
+    degraded: bool,
+    /// The error, if any, that stopped scoring.
+    error: Option<EmError>,
+}
+
+/// Scores `misses` in [`BATCH_SIZE`] chunks through the stage's matcher.
 ///
-/// Returns the `(position, score)` results in miss order, the stage's
-/// exact-token bill, and the error (if any) that stopped scoring —
-/// results collected before the error are kept, mirroring the barrier
-/// loop's partial-progress semantics. A score-count mismatch is reported
-/// as a stage error (which stage 0 turns fatal).
-fn score_misses(
-    stage: &mut Stage,
-    misses: &[usize],
-    serialized: &[SerializedPair],
-    batch_size: usize,
-) -> (Vec<(usize, f32)>, u64, Option<EmError>) {
-    let mut scored: Vec<(usize, f32)> = Vec::with_capacity(misses.len());
-    let mut tokens = 0u64;
-    for batch_idx in misses.chunks(batch_size) {
+/// Results collected before an error are kept (partial progress). A
+/// score-count mismatch is reported as a stage error (which stage 0
+/// turns fatal). A matcher's degraded flag describes only its most
+/// recent call, so it is read after every call: one degraded batch
+/// keeps the whole stage's scores out of the cache.
+fn score_misses(stage: &mut Stage, misses: &[usize], serialized: &[SerializedPair]) -> Scoring {
+    let mut out = Scoring {
+        scored: Vec::with_capacity(misses.len()),
+        tokens: 0,
+        degraded: false,
+        error: None,
+    };
+    for batch_idx in misses.chunks(BATCH_SIZE) {
         // Batch assembly shares the run's serialized views — cloning a
         // pair is two reference-count bumps, never a string copy.
         let batch = EvalBatch {
@@ -759,157 +556,28 @@ fn score_misses(
             raw: Vec::new(),
             attr_types: Vec::new(),
         };
-        match stage.matcher.predict_scores(&batch) {
+        let result = stage.matcher.predict_scores(&batch);
+        out.degraded |= stage.matcher.was_degraded();
+        match result {
+            Ok(batch_scores) if batch_scores.len() == batch_idx.len() => {
+                out.tokens += stage.bill_exact_tokens(&batch);
+                out.scored
+                    .extend(batch_idx.iter().copied().zip(batch_scores));
+            }
             Ok(batch_scores) => {
-                if batch_scores.len() != batch_idx.len() {
-                    let e = EmError::Numeric(format!(
-                        "stage {} returned {} scores for {} pairs",
-                        stage.name,
-                        batch_scores.len(),
-                        batch_idx.len()
-                    ));
-                    return (scored, tokens, Some(e));
-                }
-                tokens += stage.bill_exact_tokens(&batch);
-                scored.extend(batch_idx.iter().copied().zip(batch_scores));
+                out.error = Some(EmError::Numeric(format!(
+                    "stage {} returned {} scores for {} pairs",
+                    stage.name,
+                    batch_scores.len(),
+                    batch_idx.len()
+                )));
+                break;
             }
-            Err(e) => return (scored, tokens, Some(e)),
-        }
-    }
-    (scored, tokens, None)
-}
-
-/// Everything one pipelined worker recorded for one micro-batch, in
-/// position order within each vector.
-struct MicroResult {
-    pairs_in: usize,
-    hits: Vec<(usize, f32)>,
-    scored: Vec<(usize, f32)>,
-    escalated: usize,
-    tokens: u64,
-    seconds: f64,
-}
-
-/// One stage worker's buffered output: per-micro-batch results in
-/// micro-batch order, plus the first error that stopped its scoring.
-struct StageOutcome {
-    results: Vec<MicroResult>,
-    degraded: bool,
-    error: Option<EmError>,
-}
-
-/// Borrowed context one pipelined stage worker runs with.
-struct StageWorker<'a> {
-    k: usize,
-    n_stages: usize,
-    ctx: u64,
-    cache: &'a ScoreCache,
-    left: &'a RecordStore,
-    right: &'a RecordStore,
-    pairs: &'a [CandidatePair],
-    serialized: &'a [SerializedPair],
-    batch_size: usize,
-    stage: &'a mut Stage,
-    rx: mpsc::Receiver<(usize, Vec<usize>)>,
-    tx_next: Option<mpsc::Sender<(usize, Vec<usize>)>>,
-    queue_gauge: Arc<em_obs::metrics::Gauge>,
-    next_gauge: Option<Arc<em_obs::metrics::Gauge>>,
-    overlap: Arc<em_obs::metrics::Counter>,
-    busy: &'a AtomicUsize,
-}
-
-/// One stage's pipelined worker loop: receive a micro-batch, probe the
-/// (read-only) cache, score the misses, forward the escalations, buffer
-/// the rest for the merge. Exits when the previous stage drops its
-/// sender.
-fn stage_worker(w: StageWorker<'_>) -> StageOutcome {
-    let StageWorker {
-        k,
-        n_stages,
-        ctx,
-        cache,
-        left,
-        right,
-        pairs,
-        serialized,
-        batch_size,
-        stage,
-        rx,
-        tx_next,
-        queue_gauge,
-        next_gauge,
-        overlap,
-        busy,
-    } = w;
-    let _span = em_obs::span!("serve.stage.worker", name = stage.name.as_str());
-    let margin = stage.margin;
-    let mut results: Vec<MicroResult> = Vec::new();
-    let mut first_error: Option<EmError> = None;
-    while let Ok((mb, active)) = rx.recv() {
-        queue_gauge.add(-1);
-        // Overlap accounting: this micro-batch is being processed while
-        // at least one other stage is mid-micro-batch.
-        if busy.fetch_add(1, Ordering::Relaxed) > 0 {
-            overlap.inc();
-        }
-        let t0 = std::time::Instant::now();
-        let (hits, misses) = probe_chunk(cache, ctx, k as u32, left, right, pairs, &active);
-        let (scored, tokens, err) = if first_error.is_none() {
-            score_misses(stage, &misses, serialized, batch_size)
-        } else {
-            // An errored stage degrades to probe-only for the rest of
-            // the run: the barrier would not have scored these either.
-            (Vec::new(), 0, None)
-        };
-        let healthy = first_error.is_none() && err.is_none();
-        // Escalation in position order: each active pair's score is a
-        // cache hit or a fresh result (both vectors ascend by position).
-        let mut escalated: Vec<usize> = Vec::new();
-        if healthy && k + 1 < n_stages {
-            let (mut hi, mut si) = (0usize, 0usize);
-            for &p in &active {
-                let s = if hi < hits.len() && hits[hi].0 == p {
-                    hi += 1;
-                    hits[hi - 1].1
-                } else if si < scored.len() && scored[si].0 == p {
-                    si += 1;
-                    scored[si - 1].1
-                } else {
-                    continue;
-                };
-                if (2.0 * s as f64 - 1.0).abs() < margin {
-                    escalated.push(p);
-                }
+            Err(e) => {
+                out.error = Some(e);
+                break;
             }
         }
-        let seconds = t0.elapsed().as_secs_f64();
-        busy.fetch_sub(1, Ordering::Relaxed);
-        if let Some(tx) = &tx_next {
-            if !escalated.is_empty() {
-                if let Some(g) = &next_gauge {
-                    g.add(1);
-                }
-                // A failed send means the next worker died; its panic
-                // resurfaces at the merge's join, so losing the forward
-                // is moot.
-                let _ = tx.send((mb, escalated.clone()));
-            }
-        }
-        if first_error.is_none() {
-            first_error = err;
-        }
-        results.push(MicroResult {
-            pairs_in: active.len(),
-            hits,
-            scored,
-            escalated: escalated.len(),
-            tokens,
-            seconds,
-        });
     }
-    StageOutcome {
-        results,
-        degraded: stage.matcher.was_degraded(),
-        error: first_error,
-    }
+    out
 }

@@ -83,7 +83,8 @@ const ENCODE_CHUNK: usize = 256;
 /// - **length-bucketed collation** — indices are stable-sorted by
 ///   encoded (valid) length, chunked into model batches, and each bucket
 ///   is pad-to-batch-max collated, so short pairs never pay a long
-///   pair's padding; scores are scattered back to input order;
+///   pair's padding; the buckets' forwards run in parallel over the
+///   shared threadpool and scores are scattered back to input order;
 /// - **optional int8 GEMMs** — [`Self::with_precision`] wires
 ///   `em_nn::qgemm` into every Linear (guarded by the qgemm flip-rate /
 ///   drift gates; `Full` restores f32 bits).
@@ -166,16 +167,27 @@ impl FrozenSlm {
         let mut order: Vec<usize> = (0..encoded.len()).collect();
         order.sort_by_key(|&i| valid[i]);
 
+        // Buckets are independent forwards: they fan out over the shared
+        // threadpool, each collating its own batch. Longest first, so the
+        // cheapest buckets fill the gaps and the workers finish together.
+        let model = &self.model;
+        let buckets: Vec<&[usize]> = order.chunks(self.batch_size).rev().collect();
+        let forwards = run_chunks(&buckets, |bucket| {
+            let mut model_batch = Batch::empty();
+            model_batch.collate_indices_into(&encoded, bucket);
+            (
+                model.forward(&model_batch),
+                model_batch.padded_tokens_saved(max_seq),
+            )
+        })?;
+
         let mut scores = vec![0.0f32; encoded.len()];
         let mut pad_saved = 0usize;
-        let mut model_batch = Batch::empty();
-        for bucket in order.chunks(self.batch_size) {
-            model_batch.collate_indices_into(&encoded, bucket);
-            pad_saved += model_batch.padded_tokens_saved(max_seq);
-            let logits = self.model.forward(&model_batch);
+        for (bucket, (logits, saved)) in buckets.iter().zip(forwards) {
             if logits.len() != bucket.len() {
                 return Err(EmError::Numeric("SLM score batch size mismatch".into()));
             }
+            pad_saved += saved;
             for (&p, logit) in bucket.iter().zip(logits) {
                 scores[p] = em_nn::sigmoid_f32(logit);
             }

@@ -1,17 +1,22 @@
 //! Cascade invariants: escalation is gated exactly by the stage margin,
 //! cache hits are bitwise-stable, deep-stage failures degrade instead of
-//! aborting, incremental blocking over appends is bitwise a cold build,
-//! and the assembled pipeline works end to end on generated relations.
+//! aborting, degradation is scoped to the batch that fell back, results
+//! are bitwise identical at every thread cap, incremental blocking over
+//! appends is bitwise a cold build, and the assembled pipeline works end
+//! to end on generated relations.
 
 use em_blocking::{
     full_cross_product, pair_set, Blocker, CandidatePair, CandidateSet, IndexConfig,
     QGramBlocker, RelationIndex, SortedNeighbourhood, TokenBlocker,
 };
 use em_core::{AttrValue, EmError, EvalBatch, LodoSplit, Matcher, Record, Result};
-use em_matchers::StringSim;
-use em_serve::{
-    Executor, RecordStore, ScoreCache, ServeConfig, ServePipeline, ServeReport, Stage,
+use em_lm::{
+    EncoderClassifier, HashTokenizer, InferencePrecision, LlmTier, ModelConfig, PretrainedLlm,
+    PromptBudget,
 };
+use em_matchers::{DemoStrategy, MatchGpt, StringSim};
+use em_nn::threadpool;
+use em_serve::{FrozenSlm, RecordStore, ScoreCache, ServePipeline, ServeReport, Stage};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -572,64 +577,146 @@ fn degraded_scores_are_never_cached() {
     let scripted = [(0.6f32, 0.9f32), (0.55, 0.1), (0.45, 0.8)];
     let left = scripted_store(&scripted);
     let right = probe_store();
-    for executor in [Executor::Barrier, Executor::Pipelined] {
-        let (s0, _) = Scripted::new(0);
-        let (healthy, _) = Scripted::new(1);
-        let down = Arc::new(AtomicBool::new(true));
-        let flaky = Flaky {
-            healthy,
-            down: down.clone(),
-            degraded: false,
-        };
-        let mut pipe = ServePipeline::new(
+    let (s0, _) = Scripted::new(0);
+    let (healthy, _) = Scripted::new(1);
+    let down = Arc::new(AtomicBool::new(true));
+    let flaky = Flaky {
+        healthy,
+        down: down.clone(),
+        degraded: false,
+    };
+    let mut pipe = ServePipeline::new(
+        Box::new(All),
+        vec![
+            // Every stage-0 score sits inside the margin: all escalate.
+            Stage::new("s0", Box::new(s0)).with_margin(1.0),
+            Stage::new("hosted", Box::new(flaky)),
+        ],
+    )
+    .unwrap();
+
+    let outage = pipe.run(&left, &right).unwrap();
+    assert!(outage.stages[1].degraded, "outage must be flagged");
+    assert_eq!(outage.stages[1].scored, scripted.len());
+    assert!(outage.scores.iter().all(|&s| s == FALLBACK));
+
+    down.store(false, Ordering::SeqCst);
+    let recovered = pipe.run(&left, &right).unwrap();
+    let hosted = &recovered.stages[1];
+    assert!(!hosted.degraded);
+    assert_eq!(hosted.cache_hits, 0, "fallback scores were cached");
+    assert_eq!(hosted.scored, scripted.len(), "stage must re-score");
+    // Healthy stages keep caching as before.
+    assert_eq!(recovered.stages[0].cache_hits, scripted.len());
+    for (p, &(_, s1)) in recovered.pairs.iter().zip(&scripted) {
+        assert_eq!(recovered.scores[p.0].to_bits(), s1.to_bits());
+    }
+}
+
+/// Lends a matcher to a pipeline while the test keeps a handle on it.
+struct Shared<M>(Arc<Mutex<M>>);
+
+impl<M: Matcher> Matcher for Shared<M> {
+    fn name(&self) -> String {
+        self.0.lock().unwrap().name()
+    }
+    fn fit(&mut self, split: &LodoSplit<'_>, seed: u64) -> Result<()> {
+        self.0.lock().unwrap().fit(split, seed)
+    }
+    fn predict(&mut self, batch: &EvalBatch) -> Result<Vec<bool>> {
+        self.0.lock().unwrap().predict(batch)
+    }
+    fn predict_scores(&mut self, batch: &EvalBatch) -> Result<Vec<f32>> {
+        self.0.lock().unwrap().predict_scores(batch)
+    }
+    fn was_degraded(&self) -> bool {
+        self.0.lock().unwrap().was_degraded()
+    }
+}
+
+/// A tiny untrained tier: deterministic weights, fast to build.
+fn tiny_llm() -> Arc<PretrainedLlm> {
+    let cfg = tiny_model_config();
+    let budget = PromptBudget {
+        max_seq: cfg.max_seq,
+        demo_side: 5,
+        query_side: 10,
+    };
+    Arc::new(PretrainedLlm::from_parts(
+        LlmTier::Gpt4,
+        EncoderClassifier::new(cfg, 5),
+        HashTokenizer::new(cfg.vocab),
+        budget,
+    ))
+}
+
+#[test]
+fn recovered_hosted_stage_reports_healthy_and_caches_its_scores() {
+    // Regression: the hosted matcher's degraded flag was sticky until
+    // `fit`, which serving never calls, so after the backend recovered
+    // every run still reported the stage degraded and never cached its
+    // real scores.
+    let left = store("left", 6, 0);
+    let right = store("right", 4, 100);
+    let llm = tiny_llm();
+    let hosted = Arc::new(Mutex::new(MatchGpt::with_resilience(
+        llm.clone(),
+        DemoStrategy::None,
+        None,
+        Box::new(StringSim::new()),
+    )));
+    let cascade = |hosted: Box<dyn Matcher>| {
+        ServePipeline::new(
             Box::new(All),
             vec![
-                // Every stage-0 score sits inside the margin: all escalate.
-                Stage::new("s0", Box::new(s0)).with_margin(1.0),
-                Stage::new("hosted", Box::new(flaky)),
+                Stage::new("strsim", Box::new(StringSim::new())).with_margin(1.0),
+                Stage::new("hosted", hosted).priced(0.03),
             ],
         )
         .unwrap()
-        .with_config(ServeConfig {
-            executor,
-            ..ServeConfig::default()
-        });
-
-        let outage = pipe.run(&left, &right).unwrap();
-        assert!(
-            outage.stages[1].degraded,
-            "{executor:?}: outage must be flagged"
-        );
-        assert_eq!(outage.stages[1].scored, scripted.len());
-        assert!(outage.scores.iter().all(|&s| s == FALLBACK));
-
-        down.store(false, Ordering::SeqCst);
-        let recovered = pipe.run(&left, &right).unwrap();
-        let hosted = &recovered.stages[1];
-        assert!(!hosted.degraded, "{executor:?}");
-        assert_eq!(
-            hosted.cache_hits, 0,
-            "{executor:?}: fallback scores were cached"
-        );
-        assert_eq!(
-            hosted.scored,
-            scripted.len(),
-            "{executor:?}: stage must re-score"
-        );
-        // Healthy stages keep caching as before.
-        assert_eq!(
-            recovered.stages[0].cache_hits,
-            scripted.len(),
-            "{executor:?}"
-        );
-        for (p, &(_, s1)) in recovered.pairs.iter().zip(&scripted) {
-            assert_eq!(
-                recovered.scores[p.0].to_bits(),
-                s1.to_bits(),
-                "{executor:?}"
-            );
-        }
+    };
+    let mut pipe = cascade(Box::new(Shared(hosted.clone())));
+    {
+        let m = hosted.lock().unwrap();
+        let client = m.resilient().unwrap();
+        client.breaker().force_open(client.clock().now_ns());
     }
+    let outage = pipe.run(&left, &right).unwrap();
+    assert!(
+        outage.stages[1].scored > 0,
+        "pairs must reach the hosted stage"
+    );
+    assert!(outage.stages[1].degraded, "an open breaker must be flagged");
+
+    // Past the breaker's cooldown the half-open probe succeeds.
+    hosted
+        .lock()
+        .unwrap()
+        .resilient()
+        .unwrap()
+        .clock()
+        .advance_ms(60_000);
+    let recovered = pipe.run(&left, &right).unwrap();
+    assert!(
+        !recovered.stages[1].degraded,
+        "recovery must clear degradation"
+    );
+    assert_eq!(
+        recovered.stages[1].cache_hits, 0,
+        "fallback scores were cached"
+    );
+    // The recovered run scores exactly as a never-degraded cascade …
+    let direct = MatchGpt::with_llm(llm, DemoStrategy::None);
+    let healthy = cascade(Box::new(direct)).run(&left, &right).unwrap();
+    let bits = |r: &ServeReport| r.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&recovered), bits(&healthy));
+    assert_eq!(recovered.stages[1].scored, healthy.stages[1].scored);
+    assert_eq!(recovered.stages[1].tokens, healthy.stages[1].tokens);
+    // … and its hosted scores now answer from the cache.
+    let warm = pipe.run(&left, &right).unwrap();
+    assert_eq!(warm.stages[1].scored, 0);
+    assert_eq!(warm.stages[1].cache_hits, warm.stages[1].pairs_in);
+    assert!(!warm.stages[1].degraded);
 }
 
 /// What a [`Recording`] blocker saw: per probe, the prior extent
@@ -689,7 +776,7 @@ impl Blocker for Recording {
 
 /// A two-stage priced StringSim cascade (so escalations, tokens and bills
 /// are all exercised) over `blocker`.
-fn growth_pipeline(blocker: Box<dyn Blocker>, executor: Executor) -> ServePipeline {
+fn growth_pipeline(blocker: Box<dyn Blocker>) -> ServePipeline {
     ServePipeline::new(
         blocker,
         vec![
@@ -704,10 +791,6 @@ fn growth_pipeline(blocker: Box<dyn Blocker>, executor: Executor) -> ServePipeli
         ],
     )
     .unwrap()
-    .with_config(ServeConfig {
-        executor,
-        ..ServeConfig::default()
-    })
 }
 
 /// Everything a report decides, bitwise: pairs, score bits, matches and
@@ -758,82 +841,72 @@ fn long_lived_pipeline_over_appends_equals_cold_builds() {
         }),
     ];
     for (name, blocker) in blockers {
-        for executor in [Executor::Barrier, Executor::Pipelined] {
-            let (recording, log) = Recording::new(blocker());
-            let mut long = growth_pipeline(Box::new(recording), executor);
-            // The twin sees the same history but drops its blocking state
-            // before every run, so it always builds and probes cold.
-            let mut twin = growth_pipeline(blocker(), executor);
-            let mut left = RecordStore::new(rels.left[..150].to_vec());
-            let mut right = RecordStore::new(rels.right[..100].to_vec());
-            let mut last = long.run(&left, &right).unwrap();
-            twin.run(&left, &right).unwrap();
-            for (add_left, add_right) in GROWTH_STEPS {
-                left.append(rels.left[left.len()..left.len() + add_left].to_vec());
-                right.append(rels.right[right.len()..right.len() + add_right].to_vec());
-                last = long.run(&left, &right).unwrap();
-                assert_eq!(last.blocking_reused, add_left + add_right == 0);
-                twin.invalidate_blocking();
-                let cold = twin.run(&left, &right).unwrap();
-                assert_eq!(
-                    decided(&last),
-                    decided(&cold),
-                    "{name} {executor:?}: incremental run diverged at {}×{}",
-                    left.len(),
-                    right.len()
-                );
-                assert_eq!(
-                    long.cache().entries(),
-                    twin.cache().entries(),
-                    "{name} {executor:?}"
-                );
-            }
-            assert_eq!((left.len(), right.len()), (240, 260));
-            let resumed = log
-                .lock()
-                .unwrap()
-                .priors
-                .iter()
-                .filter(|p| **p != (0, 0))
-                .count();
+        let (recording, log) = Recording::new(blocker());
+        let mut long = growth_pipeline(Box::new(recording));
+        // The twin sees the same history but drops its blocking state
+        // before every run, so it always builds and probes cold.
+        let mut twin = growth_pipeline(blocker());
+        let mut left = RecordStore::new(rels.left[..150].to_vec());
+        let mut right = RecordStore::new(rels.right[..100].to_vec());
+        let mut last = long.run(&left, &right).unwrap();
+        twin.run(&left, &right).unwrap();
+        for (add_left, add_right) in GROWTH_STEPS {
+            left.append(rels.left[left.len()..left.len() + add_left].to_vec());
+            right.append(rels.right[right.len()..right.len() + add_right].to_vec());
+            last = long.run(&left, &right).unwrap();
+            assert_eq!(last.blocking_reused, add_left + add_right == 0);
+            twin.invalidate_blocking();
+            let cold = twin.run(&left, &right).unwrap();
             assert_eq!(
-                resumed,
-                GROWTH_STEPS.len() - 1,
-                "{name} {executor:?}: every grown run but the unchanged one must resume"
+                decided(&last),
+                decided(&cold),
+                "{name}: incremental run diverged at {}×{}",
+                left.len(),
+                right.len()
             );
-
-            // A fresh pipeline on the final stores decides exactly the same.
-            let fresh = growth_pipeline(blocker(), executor)
-                .run(&left, &right)
-                .unwrap();
-            assert_eq!(last.pairs, fresh.pairs, "{name} {executor:?}");
-            assert_eq!(last.matches, fresh.matches, "{name} {executor:?}");
-            let bits = |r: &ServeReport| r.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&last), bits(&fresh), "{name} {executor:?}");
+            assert_eq!(long.cache().entries(), twin.cache().entries(), "{name}");
         }
+        assert_eq!((left.len(), right.len()), (240, 260));
+        let resumed = log
+            .lock()
+            .unwrap()
+            .priors
+            .iter()
+            .filter(|p| **p != (0, 0))
+            .count();
+        assert_eq!(
+            resumed,
+            GROWTH_STEPS.len() - 1,
+            "{name}: every grown run but the unchanged one must resume"
+        );
+
+        // A fresh pipeline on the final stores decides exactly the same.
+        let fresh = growth_pipeline(blocker()).run(&left, &right).unwrap();
+        assert_eq!(last.pairs, fresh.pairs, "{name}");
+        assert_eq!(last.matches, fresh.matches, "{name}");
+        let bits = |r: &ServeReport| r.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&last), bits(&fresh), "{name}");
     }
 }
 
 #[test]
 fn sorted_neighbourhood_pipeline_falls_back_to_cold_probes() {
     let rels = em_datagen::serve_relations(120, 120, 0.3, 5);
-    for executor in [Executor::Barrier, Executor::Pipelined] {
-        let sn = || Box::new(SortedNeighbourhood { window: 6 });
-        let (recording, log) = Recording::new(sn());
-        let mut pipe = growth_pipeline(Box::new(recording), executor);
-        let left = RecordStore::new(rels.left.clone());
-        let mut right = RecordStore::new(rels.right[..60].to_vec());
-        pipe.run(&left, &right).unwrap();
-        for step in 1..=3 {
-            right.append(rels.right[right.len()..60 + 20 * step].to_vec());
-            let grown = pipe.run(&left, &right).unwrap();
-            assert_eq!(log.lock().unwrap().cold_fallbacks, step + 1, "{executor:?}");
-            let fresh = growth_pipeline(sn(), executor).run(&left, &right).unwrap();
-            assert_eq!(grown.pairs, fresh.pairs, "{executor:?} at step {step}");
-            assert_eq!(grown.matches, fresh.matches, "{executor:?} at step {step}");
-            for (a, b) in grown.scores.iter().zip(&fresh.scores) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{executor:?} at step {step}");
-            }
+    let sn = || Box::new(SortedNeighbourhood { window: 6 });
+    let (recording, log) = Recording::new(sn());
+    let mut pipe = growth_pipeline(Box::new(recording));
+    let left = RecordStore::new(rels.left.clone());
+    let mut right = RecordStore::new(rels.right[..60].to_vec());
+    pipe.run(&left, &right).unwrap();
+    for step in 1..=3 {
+        right.append(rels.right[right.len()..60 + 20 * step].to_vec());
+        let grown = pipe.run(&left, &right).unwrap();
+        assert_eq!(log.lock().unwrap().cold_fallbacks, step + 1);
+        let fresh = growth_pipeline(sn()).run(&left, &right).unwrap();
+        assert_eq!(grown.pairs, fresh.pairs, "at step {step}");
+        assert_eq!(grown.matches, fresh.matches, "at step {step}");
+        for (a, b) in grown.scores.iter().zip(&fresh.scores) {
+            assert_eq!(a.to_bits(), b.to_bits(), "at step {step}");
         }
     }
 }
@@ -846,7 +919,7 @@ fn appends_into_a_clone_never_resume() {
         max_token_frequency: 0.2,
     };
     let (recording, log) = Recording::new(Box::new(blocker));
-    let mut pipe = growth_pipeline(Box::new(recording), Executor::Barrier);
+    let mut pipe = growth_pipeline(Box::new(recording));
     let left = RecordStore::new(rels.left.clone());
     let mut right = RecordStore::new(rels.right[..60].to_vec());
     pipe.run(&left, &right).unwrap();
@@ -865,7 +938,7 @@ fn appends_into_a_clone_never_resume() {
         "only cold probes: no run may resume across store identities"
     );
     for (store, got) in [(&clone, &on_clone), (&right, &on_original)] {
-        let fresh = growth_pipeline(Box::new(blocker), Executor::Barrier)
+        let fresh = growth_pipeline(Box::new(blocker))
             .run(&left, store)
             .unwrap();
         assert_eq!(got.pairs, fresh.pairs);
@@ -876,4 +949,165 @@ fn appends_into_a_clone_never_resume() {
     right.append(rels.right[..5].to_vec());
     pipe.run(&left, &right).unwrap();
     assert_eq!(log.lock().unwrap().priors.last(), Some(&(80, 90)));
+}
+
+/// `n` one-attribute records `"{side} record {i}"`, ids from `id_base`.
+fn store(side: &str, n: usize, id_base: u64) -> RecordStore {
+    RecordStore::new(
+        (0..n)
+            .map(|i| {
+                Record::new(
+                    id_base + i as u64,
+                    vec![AttrValue::from(format!("{side} record {i}"))],
+                )
+            })
+            .collect(),
+    )
+}
+
+fn tiny_model_config() -> ModelConfig {
+    ModelConfig {
+        vocab: 512,
+        d_model: 16,
+        n_layers: 1,
+        n_heads: 2,
+        ff_mult: 2,
+        max_seq: 32,
+        dropout: 0.0,
+        claimed_params_millions: 0.1,
+    }
+}
+
+/// Deterministic pair-level score: an FNV-style hash of both serialized
+/// sides plus a per-stage salt, mapped into [0, 1]. Independent of batch
+/// composition by construction.
+struct HashScore {
+    salt: u64,
+}
+
+impl Matcher for HashScore {
+    fn name(&self) -> String {
+        format!("HashScore[{}]", self.salt)
+    }
+    fn fit(&mut self, _split: &LodoSplit<'_>, _seed: u64) -> Result<()> {
+        Ok(())
+    }
+    fn predict(&mut self, batch: &EvalBatch) -> Result<Vec<bool>> {
+        Ok(self
+            .predict_scores(batch)?
+            .into_iter()
+            .map(|s| s >= 0.5)
+            .collect())
+    }
+    fn predict_scores(&mut self, batch: &EvalBatch) -> Result<Vec<f32>> {
+        Ok(batch
+            .serialized
+            .iter()
+            .map(|p| {
+                let mut h = self.salt ^ 0xcbf2_9ce4_8422_2325;
+                for b in p.left.bytes().chain([0u8]).chain(p.right.bytes()) {
+                    h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+                }
+                ((h >> 40) as f64 / (1u64 << 24) as f64) as f32
+            })
+            .collect())
+    }
+}
+
+/// A priced cascade of hash matchers with the given margins.
+fn hash_stages(margins: &[f64]) -> Vec<Stage> {
+    margins
+        .iter()
+        .enumerate()
+        .map(|(k, &m)| {
+            Stage::new(format!("h{k}"), Box::new(HashScore { salt: k as u64 + 1 }))
+                .with_margin(m)
+                .priced(0.001 * (k as f64 + 1.0))
+        })
+        .collect()
+}
+
+/// A run's [`decided`] report, cache entries and eviction count.
+type Outcome = (String, Vec<((u64, u32, u64, u64), u32)>, u64);
+
+/// One cold run at a thread cap.
+fn run_at(
+    threads: usize,
+    stages: Vec<Stage>,
+    cache_cap: Option<usize>,
+    left: &RecordStore,
+    right: &RecordStore,
+) -> Outcome {
+    threadpool::set_max_threads(Some(threads));
+    let mut pipe = ServePipeline::new(Box::new(All), stages).unwrap();
+    if let Some(c) = cache_cap {
+        pipe = pipe.with_cache_capacity(c);
+    }
+    let report = pipe.run(left, right);
+    threadpool::set_max_threads(None);
+    (
+        decided(&report.unwrap()),
+        pipe.cache().entries(),
+        pipe.cache().evictions(),
+    )
+}
+
+#[test]
+fn thread_cap_never_changes_scores_reports_or_cache() {
+    // 216 pairs through three stages: more pairs than one StringSim chunk
+    // or SLM bucket, and a capacity-40 cache so the FIFO eviction sequence
+    // is compared too.
+    let left = store("left", 24, 0);
+    let right = store("right", 9, 1000);
+    for cap in [None, Some(40)] {
+        let want = run_at(1, hash_stages(&[0.7, 0.4, 0.0]), cap, &left, &right);
+        assert!(want.0.contains("h2"), "the workload must reach stage 3");
+        for threads in [2, 8] {
+            let got = run_at(threads, hash_stages(&[0.7, 0.4, 0.0]), cap, &left, &right);
+            assert_eq!(got, want, "cache cap {cap:?}, {threads} threads");
+        }
+    }
+}
+
+#[test]
+fn slm_cascade_is_thread_invariant_in_both_precisions() {
+    // A real FrozenSlm tier (untrained tiny weights are deterministic)
+    // behind a StringSim gate, with 8-pair buckets so several buckets run
+    // at once: f32 and the int8 fast path alike.
+    let cfg = tiny_model_config();
+    let model = EncoderClassifier::new(cfg, 3);
+    let tokenizer = HashTokenizer::new(cfg.vocab);
+    let left = store("gadget alpha", 20, 0);
+    let right = store("gadget beta", 10, 400);
+    for precision in [InferencePrecision::Full, InferencePrecision::Int8] {
+        let stages = || {
+            let slm = FrozenSlm::new("slm-16d", model.clone(), tokenizer.clone())
+                .with_precision(precision)
+                .with_batch_size(8);
+            vec![
+                Stage::new("strsim", Box::new(StringSim::new())).with_margin(0.95),
+                Stage::new("slm", Box::new(slm)).priced(0.002),
+            ]
+        };
+        let want = run_at(1, stages(), None, &left, &right);
+        assert!(
+            want.1.iter().any(|((_, stage, _, _), _)| *stage == 1),
+            "{precision:?}: the SLM stage must score something"
+        );
+        for threads in [2, 8] {
+            let got = run_at(threads, stages(), None, &left, &right);
+            assert_eq!(got, want, "{precision:?}, {threads} threads");
+        }
+    }
+}
+
+#[test]
+fn a_stage_no_pair_reaches_gets_no_report() {
+    // Margin 0 at stage 0: nothing escalates, so stage 1 never runs.
+    let left = store("left", 8, 0);
+    let right = store("right", 4, 300);
+    let mut pipe = ServePipeline::new(Box::new(All), hash_stages(&[0.0, 0.5])).unwrap();
+    let report = pipe.run(&left, &right).unwrap();
+    assert_eq!(report.stages.len(), 1);
+    assert_eq!(report.stages[0].escalated, 0);
 }

@@ -71,22 +71,18 @@ echo "zoo bench smoke: wrote $zoo_bench"
 # incl. index-reuse-after-growth), the cascade invariant suite
 # (margin-exact escalation, bitwise cache hits, blocking-state reuse and
 # generation invalidation, bounded-cache eviction, deep-stage
-# degradation), then blocking- and serve-bench smokes — the blocking one
+# degradation, hosted-stage recovery, scores/reports/cache bitwise at
+# 1/2/8 threads), then blocking- and serve-bench smokes — the blocking one
 # re-runs the reference-vs-indexed bitwise asserts on 2k×2k, the serve
 # one pushes 2k×2k through the full blocking → StringSim → SLM →
 # hosted-LLM cascade with the cost-vs-baseline, warm-cache and
-# blocking-reuse asserts live. The serve-inference fast-path gates ride
+# blocking-reuse asserts live. The serve-inference fast-path gate rides
 # here too: the SLM fast-path suite (bucketed collation ≡ per-pair
-# scoring bitwise in f32 and int8, thread parity, exact-token billing)
-# and the executor-equivalence suite (pipelined micro-batch schedule ≡
-# barrier schedule bitwise — scores, reports, cache contents, FIFO
-# evictions, bills — across micro-batch sizes, thread caps, and
-# dead-stage failures, plus a 128-case randomized property).
+# scoring bitwise in f32 and int8, thread parity, exact-token billing).
 cargo test -q -p em-blocking --test blocker_properties
 cargo test -q -p em-blocking --test parallel_equivalence
 cargo test -q -p em-serve --test cascade_invariants
 cargo test -q -p em-serve --test slm_fastpath
-cargo test -q -p em-serve --test pipeline_equivalence
 block_bench="$PWD/target/tier1-bench-blocking.json"
 ./target/release/bench_blocking "$block_bench" --smoke
 test -s "$block_bench" || { echo "blocking bench smoke failed: $block_bench is empty"; exit 1; }
